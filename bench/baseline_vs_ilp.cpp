@@ -35,10 +35,11 @@ struct BenchProgram {
 
 int main(int argc, char **argv) {
   unsigned Threads = 1;
-  const char *JsonPath = "BENCH_solver.json";
+  const char *JsonPath = "BENCH_baseline.json";
   for (int I = 1; I != argc; ++I) {
-    if (!std::strcmp(argv[I], "--mip-threads") && I + 1 < argc)
-      Threads = static_cast<unsigned>(std::atoi(argv[++I]));
+    if (!std::strcmp(argv[I], "--mip-threads") && I + 1 < argc &&
+        bench::parseCount(argv[I + 1], Threads))
+      ++I;
     else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else {

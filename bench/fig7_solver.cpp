@@ -28,7 +28,6 @@
 #include "bench_util.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 using namespace nova;
@@ -41,18 +40,20 @@ int main(int argc, char **argv) {
   double ExpectRoot = 0.0;
   bool HaveExpectRoot = false;
   for (int I = 1; I != argc; ++I) {
+    bool Ok = true;
     if (!std::strcmp(argv[I], "--mip-threads") && I + 1 < argc)
-      Threads = static_cast<unsigned>(std::atoi(argv[++I]));
+      Ok = bench::parseCount(argv[++I], Threads);
     else if (!std::strcmp(argv[I], "--no-compare"))
       Compare = false;
     else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--only") && I + 1 < argc)
       Only = argv[++I];
-    else if (!std::strcmp(argv[I], "--expect-root") && I + 1 < argc) {
-      ExpectRoot = std::atof(argv[++I]);
-      HaveExpectRoot = true;
-    } else {
+    else if (!std::strcmp(argv[I], "--expect-root") && I + 1 < argc)
+      Ok = HaveExpectRoot = bench::parseNumber(argv[++I], ExpectRoot);
+    else
+      Ok = false;
+    if (!Ok) {
       std::fprintf(stderr,
                    "usage: fig7_solver [--mip-threads <n>] [--no-compare] "
                    "[--json <path>] [--only <AES|Kasumi|NAT>] "

@@ -19,10 +19,10 @@
 ///    reverse — cost proportional to the packet's writes, not the image;
 ///  - the app's table environment is applied once at construction,
 ///    *below* the journal floor, so reset() lands back on it;
-///  - setup stores with addresses beyond the per-space bound (the fuzz
+///  - stores with addresses beyond the per-space bound (the fuzz
 ///    generator aims pointers at the SDRAM edge and apps::storePacket
-///    wraps) land in a small per-packet overflow map — program accesses
-///    out there always range-trap before touching data, so the dense
+///    wraps; a BitTestSet under the illegal-register latch skips its
+///    range check) land in a small per-packet overflow map, so the dense
 ///    pages are never indexed out of bounds.
 ///
 /// image() reconstructs the exact sparse map the interpreter would have
@@ -68,10 +68,15 @@ public:
     return Pg ? Pg[A & PageMask] : 0;
   }
 
-  /// Journaled store. \p A must be below the space's bound (program
-  /// stores are range-checked before they reach here).
+  /// Journaled store. Addresses at or beyond the space's bound go to the
+  /// per-packet overflow map: packet DMA wraps there, and so does a
+  /// BitTestSet whose illegal-register latch skips the range check.
   void store(MemSpace S, uint32_t A, uint32_t V) {
     Spc &P = Spaces[static_cast<unsigned>(S)];
+    if (A >= P.Bound) {
+      P.Overflow[A] = V;
+      return;
+    }
     uint32_t *Pg = pageFor(P, A);
     Journal.push_back({A, Pg[A & PageMask], static_cast<uint8_t>(S)});
     Pg[A & PageMask] = V;

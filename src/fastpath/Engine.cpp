@@ -13,291 +13,68 @@
 //    interpreter instruction/cycle counts from the per-op cold data
 //    relative to the counters saved at block entry;
 //
-//  - the slow tier (slowBlock): a line-for-line mirror of
-//    sim::AllocContext::resume over the original AllocInstrs, taken when
-//    the fault injector is armed, strict shift trapping is on, the block
-//    has a statically illegal register operand, or the watchdog could
-//    fire inside the block. It preserves the interpreter's observable
-//    schedule: the Err latch traps at the bottom of the iteration for
-//    ALU-class ops but only after the memory charge for memory ops, the
-//    bit-flip uses the live instruction count, and the injector's
-//    shouldFire/drawCycles call order is unchanged.
+//  - the slow tier: the interpreter's own step function (sim/Step.h) over
+//    the same frame, paying the flat memory latency at each Mem exit as
+//    sim::runAllocated does. It is taken when the fault injector is
+//    armed, strict shift trapping is on, the block has a statically
+//    illegal register operand, or the watchdog could fire inside the
+//    block, and hands back to the fast tier at the next block edge.
 //
 // The two tiers interleave freely: control returns to BlockEntry at
-// every block boundary with exact counters either way.
+// every block boundary with exact counters either way. The dispatch loop
+// uses labels-as-values, a GCC/Clang extension; the build needs one of
+// those compilers anyway (GNU warning flags, POSIX file and signal APIs).
 //
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/FastPath.h"
 
-#include "sim/SimUtil.h"
-#include "support/FaultInjection.h"
-#include "support/HwHash.h"
-#include "support/StringUtils.h"
+#include "sim/Step.h"
 
-#include <cstring>
+#include <algorithm>
 
 using namespace nova;
 using namespace nova::fastpath;
 using namespace nova::sim::detail;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-using ixp::MOp;
 
 Engine::Engine(const Translated &Tr)
     : T(&Tr), Frame(Tr.frameSize(), 0) {
   std::copy(Tr.Consts.begin(), Tr.Consts.end(), Frame.begin() + FrameRegs);
 }
 
-//===----------------------------------------------------------------------===//
-// Slow tier: per-instruction execution of one block, interpreter-exact.
-//===----------------------------------------------------------------------===//
-
 namespace {
-struct RegFile {
-  uint32_t *Regs;
-  unsigned Size;
-};
-} // namespace
 
-bool Engine::slowBlock(uint32_t B, BatchMemory &Mem,
-                       const sim::RunOptions &Opts, sim::RunResult &R,
-                       uint32_t &NextB) {
-  const alloc::AllocatedProgram &P = *T->Prog;
-  const sim::LatencyModel &Lat = Opts.Lat;
-  uint32_t *F = Frame.data();
-  bool Err = false;
-  const bool Faults = FaultInjector::armed();
-
-  auto file = [&](ixp::Bank Bk) -> RegFile {
-    switch (Bk) {
-    case ixp::Bank::A:  return {F + 0, 16};
-    case ixp::Bank::B:  return {F + 16, 16};
-    case ixp::Bank::L:  return {F + 32, 8};
-    case ixp::Bank::S:  return {F + 40, 8};
-    case ixp::Bank::LD: return {F + 48, 8};
-    case ixp::Bank::SD: return {F + 56, 8};
-    default:            return {nullptr, 0};
-    }
-  };
-  auto read = [&](const AOperand &O) -> uint32_t {
-    if (O.IsConst)
-      return O.Value;
-    RegFile RF = file(O.Loc.B);
-    if (!RF.Regs || O.Loc.Reg >= RF.Size) {
-      Err = true;
-      return 0;
-    }
-    return RF.Regs[O.Loc.Reg];
-  };
-  auto writeReg = [&](PhysLoc L, uint32_t V) {
-    RegFile RF = file(L.B);
-    if (!RF.Regs || L.Reg >= RF.Size) {
-      Err = true;
-      return;
-    }
-    RF.Regs[L.Reg] = V;
-  };
-
-  unsigned Idx = 0;
-  while (true) {
-    if (++R.Instructions > Opts.MaxInstructions) {
-      trap(R, sim::TrapKind::Watchdog,
-           formatf("instruction budget of %llu exhausted",
-                   (unsigned long long)Opts.MaxInstructions));
-      return false;
-    }
-    if (Idx >= P.Blocks[B].Instrs.size()) {
-      trap(R, sim::TrapKind::MalformedProgram,
-           formatf("fell off the end of block b%u", B));
-      return false;
-    }
-    const AllocInstr &I = P.Blocks[B].Instrs[Idx++];
-
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space)) {
-      trap(R, sim::TrapKind::IllegalMemSpace,
-           formatf("memory space %u in block b%u", (unsigned)I.Space, B));
-      return false;
-    }
-
-    switch (I.Op) {
-    case MOp::Alu: {
-      uint32_t A = read(I.Srcs[0]);
-      uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-      if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-        trap(R, sim::TrapKind::ShiftRange,
-             formatf("shift count %u in block b%u", Bv, B));
-        return false;
-      }
-      uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-        V ^= 1u << (R.Instructions & 31);
-      writeReg(I.Dsts[0], V);
-      R.Cycles += Lat.Alu;
-      break;
-    }
-    case MOp::Imm:
-      writeReg(I.Dsts[0], I.Imm);
-      R.Cycles += I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                           : Lat.Imm + 1;
-      break;
-    case MOp::Move:
-      writeReg(I.Dsts[0], read(I.Srcs[0]));
-      R.Cycles += Lat.Alu;
-      break;
-    case MOp::MemRead: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      for (unsigned K = 0; K != I.Dsts.size(); ++K)
-        writeReg(I.Dsts[K], Mem.load(I.Space, Addr + K));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      // The single-threaded driver charges the flat latency right after
-      // the Mem yield; an Err latched above traps at the next resume —
-      // i.e. at the bottom-of-iteration check below, after this charge.
-      R.Cycles += Lat.memAccess(I.Space);
-      break;
-    }
-    case MOp::MemWrite: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      for (unsigned K = 1; K != I.Srcs.size(); ++K)
-        Mem.store(I.Space, Addr + K - 1, read(I.Srcs[K]));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      R.Cycles += Lat.memAccess(I.Space);
-      break;
-    }
-    case MOp::Hash:
-      writeReg(I.Dsts[0], hwHash(read(I.Srcs[0])));
-      R.Cycles += Lat.HashOp;
-      break;
-    case MOp::BitTestSet: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Bits = read(I.Srcs[1]);
-      if (!Err && !Mem.inRange(I.Space, Addr, 1)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      uint32_t Old = Mem.load(I.Space, Addr);
-      Mem.store(I.Space, Addr, Old | Bits);
-      writeReg(I.Dsts[0], Old);
-      R.Cycles += Lat.memAccess(I.Space); // no jitter draw for BitTestSet
-      break;
-    }
-    case MOp::Clone:
-      trap(R, sim::TrapKind::MalformedProgram,
-           "clone pseudo in allocated code");
-      return false;
-    case MOp::Branch: {
-      ixp::BlockId Tgt =
-          cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-              ? I.Target
-              : I.TargetElse;
-      if (Tgt >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("branch in block b%u targets b%u", B, Tgt));
-        return false;
-      }
-      R.Cycles += Lat.Branch;
-      if (Err) {
-        // The interpreter re-targets B before its bottom-of-iteration
-        // check, so the message names the *taken* block.
-        trap(R, sim::TrapKind::IllegalRegister,
-             formatf("illegal register access in block b%u", Tgt));
-        return false;
-      }
-      NextB = Tgt;
-      return true;
-    }
-    case MOp::Jump:
-      if (I.Target >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("jump in block b%u targets b%u", B, I.Target));
-        return false;
-      }
-      R.Cycles += Lat.Branch;
-      NextB = I.Target;
-      return true;
-    case MOp::Halt:
-      for (const AOperand &S : I.Srcs)
-        R.HaltValues.push_back(read(S));
-      if (Err) {
-        trap(R, sim::TrapKind::IllegalRegister,
-             "illegal register access at halt");
-        return false;
-      }
-      R.Ok = true;
-      return false;
-    }
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", B));
-      return false;
-    }
-  }
+/// Slow tier: sim::step over the engine's frame from the top of block
+/// \p B, paying the flat memory latency at each Mem exit as
+/// sim::runAllocated does. Returns the Done or BlockEdge exit. Kept out
+/// of line: inlined, its locals cost the dispatch loop a register (GCC
+/// then sets up a frame pointer in Engine::run).
+[[gnu::noinline]] sim::StepExit
+runSlowTier(const alloc::AllocatedProgram &P, uint32_t B, uint32_t *F,
+            BatchMemory &Mem, const sim::RunOptions &Opts,
+            sim::RunResult &R) {
+  sim::StepPos Pos{B, 0, false};
+  sim::StepExit X;
+  while ((X = sim::step(P, F, Pos, R, Mem, Opts)).K ==
+         sim::StepExit::Kind::Mem)
+    R.Cycles += Opts.Lat.memAccess(X.Space);
+  return X;
 }
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Fast tier: the threaded dispatch loop.
 //===----------------------------------------------------------------------===//
 
-// Computed goto (threaded code) under GCC/Clang; a switch-in-a-loop
-// elsewhere. NOVA_FASTPATH_NO_CGOTO forces the portable loop (used to
-// compile-test it).
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(NOVA_FASTPATH_NO_CGOTO)
-#define NOVA_FP_CGOTO 1
-#endif
-
-#ifdef NOVA_FP_CGOTO
 #define VM_CASE(K) L_##K:
 #define VM_DISPATCH() goto *JT[static_cast<unsigned>(Ops[PC].Kind)]
-#else
-#define VM_CASE(K) case FOp::K:
-#define VM_DISPATCH() continue
-#endif
 
 sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
                            BatchMemory &Mem, const sim::RunOptions &Opts) {
   sim::RunResult R;
-  std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
-
-  if (!T->EntryValid) {
-    trap(R, sim::TrapKind::MalformedProgram, "no entry block");
+  if (!sim::enterRun(*T->Prog, Args, Frame.data(), R))
     return R;
-  }
-  if (Args.size() > 15) {
-    trap(R, sim::TrapKind::MalformedProgram, "too many entry arguments");
-    return R;
-  }
-  for (unsigned I = 0; I != Args.size(); ++I)
-    Frame[I] = Args[I];
 
   const FastOp *Ops = T->Ops.data();
   const ColdInfo *ColdA = T->Cold.data();
@@ -315,7 +92,6 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
   uint64_t StartIns = 0, StartCyc = 0;
   uint32_t PC = Meta[T->Prog->Entry].EnterOp;
 
-#ifdef NOVA_FP_CGOTO
   static const void *JT[] = {
       &&L_BlockEntry, &&L_AluAdd,    &&L_AluSub,   &&L_AluAnd,
       &&L_AluOr,      &&L_AluXor,    &&L_AluShl,   &&L_AluShr,
@@ -331,10 +107,6 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
       &&L_FuseCopyMemRead, &&L_FuseCopyMemWrite,
   };
   VM_DISPATCH();
-#else
-  for (;;)
-    switch (Ops[PC].Kind) {
-#endif
 
   VM_CASE(BlockEntry) {
     const FastOp &O = Ops[PC];
@@ -342,12 +114,12 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
     if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
       R.Instructions = Ins;
       R.Cycles = Cyc;
-      uint32_t NextB;
-      if (!slowBlock(O.X, Mem, Opts, R, NextB))
+      sim::StepExit X = runSlowTier(*T->Prog, O.X, F, Mem, Opts, R);
+      if (X.K == sim::StepExit::Kind::Done)
         return R;
       Ins = R.Instructions;
       Cyc = R.Cycles;
-      PC = Meta[NextB].EnterOp;
+      PC = Meta[X.Target].EnterOp;
       VM_DISPATCH();
     }
     StartIns = Ins;
@@ -619,9 +391,6 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
     return R;
   }
 
-#ifndef NOVA_FP_CGOTO
-    }
-#endif
 }
 
 #undef VM_CASE

@@ -49,10 +49,12 @@
 /// Exactness escape hatches: a block whose code can observe per-
 /// instruction state — a statically illegal register operand (the Err
 /// latch), an armed fault injector, strict shift trapping, or a watchdog
-/// that may fire inside the block — is executed by a per-instruction
-/// slow path that mirrors sim::AllocContext::resume line for line (same
-/// Err-latch timing, same injector draw order). Everything else runs on
-/// the threaded dispatch loop with zero per-instruction bookkeeping.
+/// that may fire inside the block — is executed by the slow tier, which
+/// is the interpreter's own step function (sim::step, src/sim/Step.h)
+/// over the same register frame: one copy of the semantics, so the
+/// Err-latch timing and injector draw order match by construction.
+/// Everything else runs on the threaded dispatch loop with zero
+/// per-instruction bookkeeping.
 ///
 /// Memory-access cycle costs are *not* folded into the cold prefix sums:
 /// each memory op carries its flat cost in FastOp::Y, charged into the
@@ -69,7 +71,7 @@
 #define FASTPATH_FASTPATH_H
 
 #include "fastpath/BatchMemory.h"
-#include "sim/Simulator.h"
+#include "sim/ExecContext.h"
 
 #include <cstdint>
 #include <string>
@@ -78,9 +80,8 @@
 namespace nova {
 namespace fastpath {
 
-/// Frame layout: 64 register slots — A at 0 (16), B at 16 (16), L at 32
-/// (8), S at 40 (8), LD at 48 (8), SD at 56 (8) — then folded constants.
-inline constexpr unsigned FrameRegs = 64;
+/// Frame layout: the sim::FrameRegs register slots, then folded constants.
+using sim::FrameRegs;
 
 /// Specialized opcodes of the pre-decoded stream.
 enum class FOp : uint8_t {
@@ -149,7 +150,7 @@ struct TranslateOptions {
 };
 
 /// A translated program. Holds a pointer to the source program (for the
-/// per-instruction slow path), so the AllocatedProgram must outlive it.
+/// per-instruction slow tier), so the AllocatedProgram must outlive it.
 struct Translated {
   const alloc::AllocatedProgram *Prog = nullptr;
   sim::LatencyModel Lat; ///< the model the cycle folding assumed
@@ -196,9 +197,6 @@ public:
 private:
   const Translated *T;
   std::vector<uint32_t> Frame;
-
-  bool slowBlock(uint32_t B, BatchMemory &Mem, const sim::RunOptions &Opts,
-                 sim::RunResult &R, uint32_t &NextB);
 };
 
 } // namespace fastpath

@@ -10,32 +10,22 @@
 // exactly the instructions sim::AllocContext would yield at, with the
 // same space and burst cycle count, the same memory data effects already
 // applied (including spill-window rebasing), and the same trap kinds,
-// messages, and counts on completion. The slow tier mirrors
-// AllocContext::resume line for line — Err latched on a memory operand
-// traps at the next resume() after the caller's charge, the bit flip
-// uses the live instruction count, jitter draws at MemRead/MemWrite
-// issue only — and the fast tier reconstructs exact counters from cold
-// data at every yield and exit.
+// messages, and counts on completion. The slow tier is sim::step itself,
+// so it matches the interpreter by construction; the fast tier
+// reconstructs exact counters from cold data at every yield and exit.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/Segment.h"
 
-#include "sim/SimUtil.h"
-#include "support/FaultInjection.h"
-#include "support/HwHash.h"
-#include "support/StringUtils.h"
+#include "sim/Step.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace nova;
 using namespace nova::fastpath;
 using namespace nova::sim::detail;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-using ixp::MOp;
 
 void SegmentContext::setProgram(const Translated *Tr) {
   T = Tr;
@@ -47,255 +37,14 @@ void SegmentContext::setProgram(const Translated *Tr) {
 void SegmentContext::reset(const std::vector<uint32_t> &Args) {
   assert(T && "reset() before setProgram()");
   R = sim::RunResult();
-  Err = false;
+  Pos.Err = false;
   InSlow = false;
   FastYield = false;
   Ins = Cyc = 0;
   StartIns = StartCyc = 0;
-  std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
-
-  if (!T->EntryValid) {
-    trap(R, sim::TrapKind::MalformedProgram, "no entry block");
-    Finished = true;
-    return;
-  }
-  if (Args.size() > 15) {
-    trap(R, sim::TrapKind::MalformedProgram, "too many entry arguments");
-    Finished = true;
-    return;
-  }
-  for (unsigned I = 0; I != Args.size(); ++I)
-    Frame[I] = Args[I];
-  PC = T->Meta[T->Prog->Entry].EnterOp;
-  Finished = false;
-}
-
-//===----------------------------------------------------------------------===//
-// Slow tier: resumable per-instruction execution, interpreter-exact.
-//===----------------------------------------------------------------------===//
-
-namespace {
-struct RegFile {
-  uint32_t *Regs;
-  unsigned Size;
-};
-} // namespace
-
-bool SegmentContext::slowStep(sim::Memory &Mem, const sim::RunOptions &Opts,
-                              uint64_t BurstStart, Yield &Y) {
-  const alloc::AllocatedProgram &P = *T->Prog;
-  const sim::LatencyModel &Lat = Opts.Lat;
-  uint32_t *F = Frame.data();
-  const bool Faults = FaultInjector::armed();
-
-  auto finish = [&]() {
-    Finished = true;
-    Y = {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
-    return true;
-  };
-  auto file = [&](ixp::Bank Bk) -> RegFile {
-    switch (Bk) {
-    case ixp::Bank::A:  return {F + 0, 16};
-    case ixp::Bank::B:  return {F + 16, 16};
-    case ixp::Bank::L:  return {F + 32, 8};
-    case ixp::Bank::S:  return {F + 40, 8};
-    case ixp::Bank::LD: return {F + 48, 8};
-    case ixp::Bank::SD: return {F + 56, 8};
-    default:            return {nullptr, 0};
-    }
-  };
-  auto read = [&](const AOperand &O) -> uint32_t {
-    if (O.IsConst)
-      return O.Value;
-    RegFile RF = file(O.Loc.B);
-    if (!RF.Regs || O.Loc.Reg >= RF.Size) {
-      Err = true;
-      return 0;
-    }
-    return RF.Regs[O.Loc.Reg];
-  };
-  auto writeReg = [&](PhysLoc L, uint32_t V) {
-    RegFile RF = file(L.B);
-    if (!RF.Regs || L.Reg >= RF.Size) {
-      Err = true;
-      return;
-    }
-    RF.Regs[L.Reg] = V;
-  };
-  auto effectiveAddr = [&](MemSpace S, uint32_t Addr) -> uint32_t {
-    if (SpillRebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
-        Addr - P.SpillBase < P.NumSpillSlots)
-      return Addr + SpillRebase;
-    return Addr;
-  };
-
-  while (true) {
-    if (++R.Instructions > Opts.MaxInstructions) {
-      trap(R, sim::TrapKind::Watchdog,
-           formatf("instruction budget of %llu exhausted",
-                   (unsigned long long)Opts.MaxInstructions));
-      return finish();
-    }
-    if (SIdx >= P.Blocks[SB].Instrs.size()) {
-      trap(R, sim::TrapKind::MalformedProgram,
-           formatf("fell off the end of block b%u", SB));
-      return finish();
-    }
-    const AllocInstr &I = P.Blocks[SB].Instrs[SIdx++];
-
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space)) {
-      trap(R, sim::TrapKind::IllegalMemSpace,
-           formatf("memory space %u in block b%u", (unsigned)I.Space, SB));
-      return finish();
-    }
-
-    switch (I.Op) {
-    case MOp::Alu: {
-      uint32_t A = read(I.Srcs[0]);
-      uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-      if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-        trap(R, sim::TrapKind::ShiftRange,
-             formatf("shift count %u in block b%u", Bv, SB));
-        return finish();
-      }
-      uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-        V ^= 1u << (R.Instructions & 31);
-      writeReg(I.Dsts[0], V);
-      R.Cycles += Lat.Alu;
-      break;
-    }
-    case MOp::Imm:
-      writeReg(I.Dsts[0], I.Imm);
-      R.Cycles += I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                           : Lat.Imm + 1;
-      break;
-    case MOp::Move:
-      writeReg(I.Dsts[0], read(I.Srcs[0]));
-      R.Cycles += Lat.Alu;
-      break;
-    case MOp::MemRead: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 0; K != I.Dsts.size(); ++K)
-        writeReg(I.Dsts[K], sim::Memory::load(Space, Addr + K));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      // An Err latched above traps at the next resume(), after the
-      // caller's charge — the interpreter's bottom-of-iteration timing.
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true;
-    }
-    case MOp::MemWrite: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 1; K != I.Srcs.size(); ++K)
-        Space[Addr + K - 1] = read(I.Srcs[K]);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true;
-    }
-    case MOp::Hash:
-      writeReg(I.Dsts[0], hwHash(read(I.Srcs[0])));
-      R.Cycles += Lat.HashOp;
-      break;
-    case MOp::BitTestSet: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Bits = read(I.Srcs[1]);
-      if (!Err && !Mem.inRange(I.Space, Addr, 1)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Addr, Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      uint32_t Old = sim::Memory::load(Space, Addr);
-      Space[Addr] = Old | Bits;
-      writeReg(I.Dsts[0], Old);
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true; // no jitter draw for BitTestSet
-    }
-    case MOp::Clone:
-      trap(R, sim::TrapKind::MalformedProgram,
-           "clone pseudo in allocated code");
-      return finish();
-    case MOp::Branch: {
-      ixp::BlockId Tgt =
-          cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-              ? I.Target
-              : I.TargetElse;
-      if (Tgt >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("branch in block b%u targets b%u", SB, Tgt));
-        return finish();
-      }
-      R.Cycles += Lat.Branch;
-      if (Err) {
-        // The interpreter re-targets B before its bottom-of-iteration
-        // check, so the message names the *taken* block.
-        trap(R, sim::TrapKind::IllegalRegister,
-             formatf("illegal register access in block b%u", Tgt));
-        return finish();
-      }
-      InSlow = false;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = T->Meta[Tgt].EnterOp;
-      return false;
-    }
-    case MOp::Jump:
-      if (I.Target >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("jump in block b%u targets b%u", SB, I.Target));
-        return finish();
-      }
-      R.Cycles += Lat.Branch;
-      InSlow = false;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = T->Meta[I.Target].EnterOp;
-      return false;
-    case MOp::Halt:
-      for (const AOperand &S : I.Srcs)
-        R.HaltValues.push_back(read(S));
-      if (Err) {
-        trap(R, sim::TrapKind::IllegalRegister,
-             "illegal register access at halt");
-        return finish();
-      }
-      R.Ok = true;
-      return finish();
-    }
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", SB));
-      return finish();
-    }
-  }
+  Finished = !sim::enterRun(*T->Prog, Args, Frame.data(), R);
+  if (!Finished)
+    PC = T->Meta[T->Prog->Entry].EnterOp;
 }
 
 //===----------------------------------------------------------------------===//
@@ -313,16 +62,7 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
     return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
   };
 
-  if (InSlow) {
-    // An illegal-register access latched while issuing the memory
-    // operand of the previous burst: trap now, after the caller's
-    // charge, exactly like the interpreter.
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", SB));
-      return finish();
-    }
-  } else if (FastYield) {
+  if (FastYield) {
     // Re-derive the bases from the counters the yield materialized plus
     // whatever the caller charged: StartCyc absorbs the charge, so every
     // later exit still reconstructs exact interpreter counts.
@@ -342,19 +82,21 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
   const uint64_t MaxIns = Opts.MaxInstructions;
   const unsigned BranchCost = Opts.Lat.Branch;
   const bool SlowAll = FaultInjector::armed() || Opts.TrapOnShiftRange;
-  auto effectiveAddr = [&](MemSpace S, uint32_t Addr) -> uint32_t {
-    if (SpillRebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
-        Addr - P.SpillBase < P.NumSpillSlots)
-      return Addr + SpillRebase;
-    return Addr;
-  };
 
   while (true) {
     if (InSlow) {
-      Yield Y;
-      if (slowStep(Mem, Opts, BurstStart, Y))
-        return Y;
-      continue; // back on the fast tier at a block boundary
+      // The slow tier yields where the interpreter does (its entry check
+      // traps an Err latched at the previous memory op) and hands back to
+      // the fast tier at the next block edge.
+      sim::StepExit X = sim::step(P, F, Pos, R, Mem, Opts, SpillRebase);
+      if (X.K == sim::StepExit::Kind::Done)
+        return finish();
+      if (X.K == sim::StepExit::Kind::Mem)
+        return {Yield::Kind::Mem, X.Space, R.Cycles - BurstStart};
+      InSlow = false;
+      Ins = R.Instructions;
+      Cyc = R.Cycles;
+      PC = Meta[X.Target].EnterOp;
     }
 
     const FastOp &O = Ops[PC];
@@ -365,8 +107,8 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
         R.Instructions = Ins;
         R.Cycles = Cyc;
         InSlow = true;
-        SB = O.X;
-        SIdx = 0;
+        Pos.B = O.X;
+        Pos.Idx = 0;
         break;
       }
       StartIns = Ins;
@@ -445,7 +187,7 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
       if (O.Kind == FOp::FuseCopyMemRead)
         F[O.D] = F[O.B]; // leading copy retires before the memory op
       MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
+      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
       const ColdInfo &C = ColdA[PC];
       if (!Mem.inRange(S, Addr, O.N)) {
         R.Instructions = StartIns + C.InsDelta;
@@ -471,7 +213,7 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
       if (O.Kind == FOp::FuseCopyMemWrite)
         F[O.D] = F[O.B];
       MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
+      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
       const ColdInfo &C = ColdA[PC];
       if (!Mem.inRange(S, Addr, O.N)) {
         R.Instructions = StartIns + C.InsDelta;
@@ -494,7 +236,7 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
 
     case FOp::BitTestSet: {
       MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
+      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
       const ColdInfo &C = ColdA[PC];
       if (!Mem.inRange(S, Addr, 1)) {
         R.Instructions = StartIns + C.InsDelta;
@@ -591,7 +333,7 @@ void SegmentContext::saveState(BinWriter &W) const {
   W.vec32(Frame);
   R.saveState(W);
   W.b(Finished);
-  W.b(Err);
+  W.b(Pos.Err);
   W.b(InSlow);
   W.b(FastYield);
   W.u32(PC);
@@ -600,15 +342,15 @@ void SegmentContext::saveState(BinWriter &W) const {
   W.u64(Cyc);
   W.u64(StartIns);
   W.u64(StartCyc);
-  W.u32(SB);
-  W.u32(SIdx);
+  W.u32(Pos.B);
+  W.u32(Pos.Idx);
 }
 
 void SegmentContext::restoreState(BinReader &Rd) {
   Frame = Rd.vec32();
   R.restoreState(Rd);
   Finished = Rd.b();
-  Err = Rd.b();
+  Pos.Err = Rd.b();
   InSlow = Rd.b();
   FastYield = Rd.b();
   PC = Rd.u32();
@@ -617,6 +359,6 @@ void SegmentContext::restoreState(BinReader &Rd) {
   Cyc = Rd.u64();
   StartIns = Rd.u64();
   StartCyc = Rd.u64();
-  SB = Rd.u32();
-  SIdx = Rd.u32();
+  Pos.B = Rd.u32();
+  Pos.Idx = Rd.u32();
 }

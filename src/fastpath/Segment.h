@@ -25,10 +25,11 @@
 /// Memory-op flat costs (FastOp::Y) are never self-charged here — the
 /// caller owns them, exactly like the interpreter's yield contract.
 ///
-/// Exactness escape hatches mirror the Engine: blocks that can observe
-/// per-instruction state run on a per-instruction slow tier that is
-/// itself resumable (it mirrors sim::AllocContext::resume including the
-/// Err-latch timing, injector draw order, and spill-window rebasing).
+/// Exactness escape hatches match the Engine: blocks that can observe
+/// per-instruction state run on the slow tier, which is the interpreter's
+/// own resumable step function (sim::step, src/sim/Step.h) over this
+/// context's frame — one copy of the Err-latch timing, injector draw
+/// order, and spill-window rebasing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,11 +77,9 @@ public:
     Finished = true;
     InSlow = false;
     FastYield = false;
-    Err = false;
+    Pos = sim::StepPos();
     PC = YieldPC = 0;
     Ins = Cyc = StartIns = StartCyc = 0;
-    SB = 0;
-    SIdx = 0;
     R = sim::RunResult();
     R.Ok = false;
   }
@@ -106,7 +105,6 @@ private:
   std::vector<uint32_t> Frame;
   sim::RunResult R;
   bool Finished = true; ///< no run in progress until reset()
-  bool Err = false;     ///< slow-tier illegal-register latch
   bool InSlow = false;  ///< resuming inside the per-instruction tier
   bool FastYield = false; ///< resuming after a fast-tier memory yield
   uint32_t SpillRebase = 0;
@@ -114,14 +112,7 @@ private:
   uint32_t YieldPC = 0; ///< the memory op the last fast burst yielded at
   uint64_t Ins = 0, Cyc = 0;         ///< exact at block boundaries
   uint64_t StartIns = 0, StartCyc = 0; ///< bases for cold-data exits
-  ixp::BlockId SB = 0;  ///< slow-tier block
-  unsigned SIdx = 0;    ///< slow-tier instruction index
-
-  /// Runs the per-instruction tier from (SB, SIdx). Returns true with
-  /// \p Y filled when the burst ends (yield or done); returns false when
-  /// control falls back to the fast dispatch at a block boundary.
-  bool slowStep(sim::Memory &Mem, const sim::RunOptions &Opts,
-                uint64_t BurstStart, Yield &Y);
+  sim::StepPos Pos;     ///< slow-tier position and illegal-register latch
 };
 
 } // namespace fastpath

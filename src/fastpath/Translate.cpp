@@ -36,7 +36,7 @@
 
 #include "fastpath/FastPath.h"
 
-#include "sim/SimUtil.h"
+#include "sim/Step.h"
 #include "support/StringUtils.h"
 
 #include <map>
@@ -50,30 +50,6 @@ using alloc::PhysLoc;
 using ixp::MOp;
 
 namespace {
-
-/// Frame base of a bank, or -1 for banks with no register file (M, C).
-int bankBase(ixp::Bank B) {
-  switch (B) {
-  case ixp::Bank::A:  return 0;
-  case ixp::Bank::B:  return 16;
-  case ixp::Bank::L:  return 32;
-  case ixp::Bank::S:  return 40;
-  case ixp::Bank::LD: return 48;
-  case ixp::Bank::SD: return 56;
-  default:            return -1;
-  }
-}
-
-unsigned bankSize(ixp::Bank B) {
-  return B == ixp::Bank::A || B == ixp::Bank::B ? 16 : 8;
-}
-
-int regSlot(PhysLoc L) {
-  int Base = bankBase(L.B);
-  if (Base < 0 || L.Reg >= bankSize(L.B))
-    return -1;
-  return Base + L.Reg;
-}
 
 /// True when \p I ends the block's linear execution unconditionally.
 bool isTerminal(const AllocInstr &I) {
@@ -120,7 +96,7 @@ struct Translator {
   }
 
   int srcSlot(const AOperand &O) {
-    return O.IsConst ? constSlot(O.Value) : regSlot(O.Loc);
+    return O.IsConst ? constSlot(O.Value) : sim::frameSlot(O.Loc);
   }
 
   uint32_t message(std::string M) {
@@ -209,10 +185,10 @@ struct Translator {
   /// always fine). Terminal-before-read cases never reach here.
   bool operandsLegal(const AllocInstr &I) {
     for (const AOperand &S : I.Srcs)
-      if (!S.IsConst && regSlot(S.Loc) < 0)
+      if (!S.IsConst && sim::frameSlot(S.Loc) < 0)
         return false;
     for (PhysLoc D : I.Dsts)
-      if (regSlot(D) < 0)
+      if (sim::frameSlot(D) < 0)
         return false;
     return true;
   }
@@ -248,22 +224,22 @@ struct Translator {
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
       O.B = static_cast<uint16_t>(
           I.Srcs.size() > 1 ? srcSlot(I.Srcs[1]) : constSlot(0));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(sim::frameSlot(I.Dsts[0]));
       break;
     case MOp::Imm:
       O.Kind = FOp::Copy;
       O.A = constSlot(I.Imm);
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(sim::frameSlot(I.Dsts[0]));
       break;
     case MOp::Move:
       O.Kind = FOp::Copy;
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(sim::frameSlot(I.Dsts[0]));
       break;
     case MOp::Hash:
       O.Kind = FOp::Hash;
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(sim::frameSlot(I.Dsts[0]));
       break;
     case MOp::MemRead:
       O.Kind = FOp::MemRead;
@@ -273,7 +249,7 @@ struct Translator {
       O.X = static_cast<uint32_t>(T.Pool.size());
       O.Y = Lat.memAccess(I.Space);
       for (PhysLoc D : I.Dsts)
-        T.Pool.push_back(static_cast<uint16_t>(regSlot(D)));
+        T.Pool.push_back(static_cast<uint16_t>(sim::frameSlot(D)));
       break;
     case MOp::MemWrite:
       O.Kind = FOp::MemWrite;
@@ -290,7 +266,7 @@ struct Translator {
       O.Aux = static_cast<uint8_t>(I.Space);
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
       O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(sim::frameSlot(I.Dsts[0]));
       O.Y = Lat.memAccess(I.Space);
       break;
     default:

@@ -18,7 +18,10 @@
 /// reference costs (flat LatencyModel charge for the single-threaded
 /// simulator, transaction-queue completion time for the contended chip)
 /// and pays it with charge(). Each context owns a private quarter of the
-/// register files, exactly like the hardware.
+/// register files, exactly like the hardware, held in the shared
+/// FrameRegs frame layout. resume() is a loop over sim::step (Step.h),
+/// the one copy of the instruction semantics, which the fast path's slow
+/// tier runs too.
 ///
 /// Spill isolation: allocated code addresses its spill slots as absolute
 /// scratch words from AllocatedProgram::SpillBase. On a chip, several
@@ -35,6 +38,19 @@
 
 namespace nova {
 namespace sim {
+
+/// Register frame layout shared by every executor: 64 slots — A at 0
+/// (16), B at 16 (16), L at 32 (8), S at 40 (8), LD at 48 (8), SD at 56
+/// (8). Bank sizes are architectural (one context's quarter of the
+/// register files). The fast path keeps its folded constants after them.
+inline constexpr unsigned FrameRegs = 64;
+
+/// Where a run stands between sim::step() calls (Step.h).
+struct StepPos {
+  ixp::BlockId B = 0; ///< block of the next instruction
+  unsigned Idx = 0;   ///< index of the next instruction within B
+  bool Err = false;   ///< illegal-register latch
+};
 
 /// A resumable allocated-mode execution: private register files, a
 /// program counter, and the in-progress RunResult accounting.
@@ -106,22 +122,9 @@ private:
   const alloc::AllocatedProgram *Prog = nullptr;
   RunResult R;
   bool Finished = true; ///< no run in progress until reset()
-  bool Err = false;     ///< illegal-register latch (checked at swap points)
   uint32_t SpillRebase = 0;
-  ixp::BlockId B = 0;
-  unsigned Idx = 0;
-  // Register files. Bank sizes are architectural: 16 GPRs per ALU bank,
-  // 8 per transfer bank (one context's quarter of the 32-register files).
-  uint32_t RegA[16] = {0}, RegB[16] = {0}, RegL[8] = {0}, RegS[8] = {0},
-           RegLD[8] = {0}, RegSD[8] = {0};
-
-  struct File {
-    uint32_t *Regs;
-    unsigned Size;
-  };
-  File regFile(ixp::Bank Bk);
-  uint32_t read(const alloc::AOperand &O);
-  void writeReg(alloc::PhysLoc L, uint32_t V);
+  StepPos Pos;          ///< next instruction and illegal-register latch
+  uint32_t Frame[FrameRegs] = {0};
 };
 
 } // namespace sim

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Trap-construction and MemSpace helpers shared by the functional
-/// interpreter (Simulator.cpp) and the re-entrant allocated-mode context
-/// (ExecContext.cpp). Internal to src/sim — not part of the public API.
+/// interpreter (Simulator.cpp), the step function (Step.h), and the fast
+/// path's translator and threaded tier, which must build the very same
+/// trap messages. Not part of the public API.
 ///
 //===----------------------------------------------------------------------===//
 

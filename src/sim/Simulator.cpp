@@ -188,9 +188,10 @@ double sim::throughputMbps(unsigned PayloadBytes, double CyclesPerPacket,
 }
 
 //===----------------------------------------------------------------------===//
-// Allocated-mode execution lives in ExecContext.cpp: the step loop is a
-// resumable AllocContext (one IXP hardware context) that the chip
-// simulator multiplexes, and runAllocated is a thin driver over it.
+// Allocated-mode execution: the instruction semantics are sim::step
+// (Step.h); ExecContext.cpp wraps it in a resumable AllocContext (one
+// IXP hardware context) that the chip simulator multiplexes, and
+// runAllocated is a thin driver over that.
 //===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//

@@ -126,6 +126,12 @@ struct Memory {
   /// maps of two agreeing executions compare equal entry-for-entry.
   static uint32_t load(const WordMap &M, uint32_t A) { return M.get(A); }
 
+  /// The access interface sim::step() shares with fastpath::BatchMemory
+  /// (valid spaces only): limits, non-inserting load, inserting store.
+  const MemLimits &limits() const { return Limits; }
+  uint32_t load(MemSpace S, uint32_t A) { return space(S)->get(A); }
+  void store(MemSpace S, uint32_t A, uint32_t V) { (*space(S))[A] = V; }
+
   /// Checkpoint serialization: all three images plus the limits.
   void saveState(BinWriter &W) const;
   void restoreState(BinReader &R);

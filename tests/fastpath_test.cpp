@@ -11,14 +11,16 @@
 //  1. Hand-built hostile programs drive every trap path — illegal
 //     registers, fell-off-the-end, bad branch/jump targets, clone
 //     pseudos, invalid memory spaces, per-space range traps, watchdog
-//     exhaustion, strict shift traps — and the fast path must produce
+//     exhaustion, strict shift traps — and both fast-path executors
+//     (the batch Engine and the resumable SegmentContext) must produce
 //     the same trap kind, message string, instruction count, and cycle
 //     count as the interpreter.
 //
 //  2. Differential fuzz: the three benchmark apps (compiled once,
 //     cached in-process like soak_test) under 200+ adversarial stream
-//     seeds; every packet must match across halts, all three memory
-//     images, trap kind + message, cycles and instructions.
+//     seeds, once as translated and once with every block forced onto
+//     the slow tier; every packet must match across halts, all three
+//     memory images, trap kind + message, cycles and instructions.
 //
 //  3. The threaded soak driver: stats bit-identical to the interpreter
 //     driver, and a negative control — an injected ALU bit flip must
@@ -29,7 +31,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AppSources.h"
 #include "fastpath/FastPath.h"
+#include "fastpath/Segment.h"
 #include "soak/Soak.h"
 #include "support/FaultInjection.h"
 
@@ -119,56 +123,91 @@ AllocatedProgram oneBlock(std::vector<AllocInstr> Instrs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-identical comparison: interpreter vs fast path
+// Bit-identical comparison: interpreter vs both fast-path executors
 //===----------------------------------------------------------------------===//
 
-/// Runs \p P both ways from \p Base and asserts full equality of the
-/// results and all three memory images.
-void expectSame(const AllocatedProgram &P,
-                const std::vector<uint32_t> &Args, const sim::Memory &Base,
-                const sim::RunOptions &RO, const char *Label) {
+/// Runs \p T on a fastpath::SegmentContext over \p Mem, paying the flat
+/// memory latency at every yield exactly as sim::runAllocated does.
+sim::RunResult runSegment(const fastpath::Translated &T,
+                          const std::vector<uint32_t> &Args, sim::Memory &Mem,
+                          const sim::RunOptions &RO) {
+  fastpath::SegmentContext S(&T);
+  S.reset(Args);
+  while (!S.done()) {
+    fastpath::SegmentContext::Yield Y = S.resume(Mem, RO);
+    if (Y.K == fastpath::SegmentContext::Yield::Kind::Mem)
+      S.charge(RO.Lat.memAccess(Y.Space));
+  }
+  return S.takeResult();
+}
+
+/// True when two runs agree on everything a RunResult observes.
+bool sameResult(const sim::RunResult &A, const sim::RunResult &B) {
+  return A.Ok == B.Ok && A.Trap == B.Trap &&
+         A.Error.message() == B.Error.message() &&
+         A.Instructions == B.Instructions && A.Cycles == B.Cycles &&
+         A.HaltValues == B.HaltValues;
+}
+
+void expectSameResult(const sim::RunResult &Got, const sim::RunResult &Want) {
+  EXPECT_EQ(Got.Ok, Want.Ok);
+  EXPECT_EQ(Got.Trap, Want.Trap);
+  EXPECT_EQ(Got.Error.message(), Want.Error.message());
+  EXPECT_EQ(Got.Instructions, Want.Instructions);
+  EXPECT_EQ(Got.Cycles, Want.Cycles);
+  EXPECT_EQ(Got.HaltValues, Want.HaltValues);
+}
+
+/// Runs \p P on the interpreter, the batch Engine and SegmentContext
+/// from \p Base and asserts full equality of the results and all three
+/// memory images. Returns the interpreter's result.
+sim::RunResult expectSame(const AllocatedProgram &P,
+                          const std::vector<uint32_t> &Args,
+                          const sim::Memory &Base, const sim::RunOptions &RO,
+                          const char *Label) {
   SCOPED_TRACE(Label);
   sim::Memory MI = Base;
   sim::RunResult IR = sim::runAllocated(P, Args, MI, RO);
 
   fastpath::Translated T = fastpath::translate(P, RO.Lat);
-  fastpath::Engine Eng(T);
-  fastpath::BatchMemory BM(Base);
-  sim::RunResult FR = Eng.run(Args, BM, RO);
-
-  EXPECT_EQ(FR.Ok, IR.Ok);
-  EXPECT_EQ(FR.Trap, IR.Trap);
-  EXPECT_EQ(FR.Error.message(), IR.Error.message());
-  EXPECT_EQ(FR.Instructions, IR.Instructions);
-  EXPECT_EQ(FR.Cycles, IR.Cycles);
-  EXPECT_EQ(FR.HaltValues, IR.HaltValues);
-  EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
-  EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
-  EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
+  {
+    SCOPED_TRACE("engine");
+    fastpath::Engine Eng(T);
+    fastpath::BatchMemory BM(Base);
+    expectSameResult(Eng.run(Args, BM, RO), IR);
+    EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
+    EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
+    EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
+  }
+  {
+    SCOPED_TRACE("segment");
+    sim::Memory MS = Base;
+    expectSameResult(runSegment(T, Args, MS, RO), IR);
+    EXPECT_EQ(MS.Sram, MI.Sram);
+    EXPECT_EQ(MS.Sdram, MI.Sdram);
+    EXPECT_EQ(MS.Scratch, MI.Scratch);
+  }
+  return IR;
 }
 
-void expectSame(const AllocatedProgram &P,
-                const std::vector<uint32_t> &Args, const char *Label) {
-  expectSame(P, Args, sim::Memory(), sim::RunOptions(), Label);
+sim::RunResult expectSame(const AllocatedProgram &P,
+                          const std::vector<uint32_t> &Args,
+                          const char *Label) {
+  return expectSame(P, Args, sim::Memory(), sim::RunOptions(), Label);
 }
 
-/// Expects a specific trap from the fast path AND that the interpreter
-/// agrees bit-for-bit.
+/// Expects a specific trap, with all three executors agreeing on it
+/// bit-for-bit.
 void expectTrap(const AllocatedProgram &P,
                 const std::vector<uint32_t> &Args, sim::TrapKind K,
                 const char *MsgPart, const char *Label,
                 const sim::RunOptions &RO = {}) {
+  sim::RunResult R = expectSame(P, Args, sim::Memory(), RO, Label);
   SCOPED_TRACE(Label);
-  fastpath::Translated T = fastpath::translate(P, RO.Lat);
-  fastpath::Engine Eng(T);
-  sim::Memory Base;
-  fastpath::BatchMemory BM(Base);
-  sim::RunResult FR = Eng.run(Args, BM, RO);
-  EXPECT_FALSE(FR.Ok);
-  EXPECT_EQ(FR.Trap, K);
-  EXPECT_NE(FR.Error.message().find(MsgPart), std::string::npos)
-      << FR.Error.message();
-  expectSame(P, Args, Base, RO, Label);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Trap, K);
+  EXPECT_NE(R.Error.message().find(MsgPart), std::string::npos)
+      << R.Error.message();
 }
 
 //===----------------------------------------------------------------------===//
@@ -232,6 +271,20 @@ TEST(FastPath, IllegalRegisterAtHalt) {
       oneBlock({haltOf({AOperand::reg(loc(Bank::SD, 9))})});
   expectTrap(P, {}, sim::TrapKind::IllegalRegister,
              "illegal register access at halt", "bad halt src");
+}
+
+TEST(FastPath, IllegalBitsAtBitTestSetBeyondBound) {
+  // The latch set by the bits operand skips BitTestSet's range check, so
+  // the out-of-range word is read and written before the trap fires.
+  AllocInstr B;
+  B.Op = MOp::BitTestSet;
+  B.Space = MemSpace::Scratch;
+  B.Srcs = {AOperand::constant(sim::MemLimits().ScratchWords + 5),
+            AOperand::reg(loc(Bank::L, 12))};
+  B.Dsts = {loc(Bank::A, 0)};
+  AllocatedProgram P = oneBlock({B, haltOf({})});
+  expectTrap(P, {}, sim::TrapKind::IllegalRegister,
+             "illegal register access in block b0", "bad bits beyond bound");
 }
 
 TEST(FastPath, FellOffTheEnd) {
@@ -444,73 +497,76 @@ soak::AppHarness &harness(const std::string &Name) {
 }
 
 /// Streams \p Seeds adversarial stream seeds (x \p PerSeed packets)
-/// through three executions — superblock fast path, per-block-only fast
-/// path, interpreter — and requires bit-identical results from all of
-/// them. The per-block translation triangulates: a bug in superblock
-/// formation diverges from it, a bug in the shared decoding diverges
-/// from the interpreter.
-void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed) {
+/// through four executions — superblock fast path, per-block-only fast
+/// path, SegmentContext (flat memory charges), interpreter — and requires
+/// bit-identical results and memory images from all of them. The
+/// per-block translation triangulates: a bug in superblock formation
+/// diverges from it, a bug in the shared decoding diverges from the
+/// interpreter. \p StrictShifts sets RunOptions::TrapOnShiftRange, which
+/// routes every block of both fast-path executors through the slow tier
+/// (the interpreter's step function over the fast path's frame).
+void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed,
+             bool StrictShifts = false) {
   soak::AppHarness &App = harness(Name);
+  const AllocatedProgram &Prog = App.compiled().Alloc.Prog;
   soak::SoakOptions SOpts;
   sim::RunOptions RO;
   RO.Lat = SOpts.Lat;
   RO.MaxInstructions = SOpts.Budget;
+  RO.TrapOnShiftRange = StrictShifts;
 
-  fastpath::Translated T =
-      fastpath::translate(App.compiled().Alloc.Prog, RO.Lat);
+  fastpath::Translated T = fastpath::translate(Prog, RO.Lat);
   EXPECT_GT(T.Superblocks, 0u) << Name;
   fastpath::Engine Eng(T);
   fastpath::BatchMemory BM(App.baseSim());
 
   fastpath::TranslateOptions NoSB;
   NoSB.Superblocks = false;
-  fastpath::Translated TP =
-      fastpath::translate(App.compiled().Alloc.Prog, RO.Lat, NoSB);
+  fastpath::Translated TP = fastpath::translate(Prog, RO.Lat, NoSB);
   EXPECT_EQ(TP.Superblocks, 0u) << Name;
   fastpath::Engine EngP(TP);
   fastpath::BatchMemory BMP(App.baseSim());
 
   unsigned Mismatches = 0;
+  auto mismatch = [&](uint64_t Seed, uint64_t I, const char *What,
+                      const sim::RunResult &A, const sim::RunResult &B) {
+    if (++Mismatches <= 3)
+      ADD_FAILURE() << Name << " seed " << Seed << " packet " << I << ": "
+                    << What << " (" << A.Error.message() << " vs "
+                    << B.Error.message() << ")";
+  };
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
     for (uint64_t I = 0; I != PerSeed; ++I) {
       soak::SoakPacket P = App.generate(I, Seed, SOpts.Mix);
+      const uint32_t Addr = P.Args.empty() ? 0 : P.Args[0];
       BM.reset();
-      BM.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
+      BM.storePacket(Addr, P.Words);
       sim::RunResult FR = Eng.run(P.Args, BM, RO);
       BMP.reset();
-      BMP.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
+      BMP.storePacket(Addr, P.Words);
       sim::RunResult PR = EngP.run(P.Args, BMP, RO);
-      // Interpreter reference (no 3-way oracle needed here).
-      soak::PacketOutcome O =
-          soak::runPacket(App, P, SOpts, /*WithOracle=*/false);
-      bool Same =
-          FR.Ok == O.Alloc.Ok && FR.Trap == O.Alloc.Trap &&
-          FR.Error.message() == O.Alloc.Error.message() &&
-          FR.Instructions == O.Alloc.Instructions &&
-          FR.Cycles == O.Alloc.Cycles &&
-          FR.HaltValues == O.Alloc.HaltValues &&
-          BM.image(MemSpace::Sram) == O.AllocMem.Sram &&
-          BM.image(MemSpace::Sdram) == O.AllocMem.Sdram &&
-          BM.image(MemSpace::Scratch) == O.AllocMem.Scratch;
-      if (!Same && ++Mismatches <= 3)
-        ADD_FAILURE() << Name << " seed " << Seed << " packet " << I
-                      << ": fastpath diverges from interpreter ("
-                      << FR.Error.message() << " vs "
-                      << O.Alloc.Error.message() << ")";
-      bool SameP =
-          FR.Ok == PR.Ok && FR.Trap == PR.Trap &&
-          FR.Error.message() == PR.Error.message() &&
-          FR.Instructions == PR.Instructions && FR.Cycles == PR.Cycles &&
-          FR.HaltValues == PR.HaltValues &&
-          BM.image(MemSpace::Sram) == BMP.image(MemSpace::Sram) &&
-          BM.image(MemSpace::Sdram) == BMP.image(MemSpace::Sdram) &&
-          BM.image(MemSpace::Scratch) == BMP.image(MemSpace::Scratch);
-      if (!SameP && ++Mismatches <= 3)
-        ADD_FAILURE() << Name << " seed " << Seed << " packet " << I
-                      << ": superblock translation diverges from "
-                         "per-block translation ("
-                      << FR.Error.message() << " vs "
-                      << PR.Error.message() << ")";
+      sim::Memory MS = App.baseSim();
+      apps::storePacket(MS.Sdram, Addr, P.Words);
+      sim::RunResult SR = runSegment(T, P.Args, MS, RO);
+      // Interpreter reference.
+      sim::Memory MI = App.baseSim();
+      apps::storePacket(MI.Sdram, Addr, P.Words);
+      sim::RunResult IR = sim::runAllocated(Prog, P.Args, MI, RO);
+
+      if (!sameResult(FR, IR) || !(BM.image(MemSpace::Sram) == MI.Sram) ||
+          !(BM.image(MemSpace::Sdram) == MI.Sdram) ||
+          !(BM.image(MemSpace::Scratch) == MI.Scratch))
+        mismatch(Seed, I, "fastpath diverges from interpreter", FR, IR);
+      if (!sameResult(FR, PR) ||
+          BM.image(MemSpace::Sram) != BMP.image(MemSpace::Sram) ||
+          BM.image(MemSpace::Sdram) != BMP.image(MemSpace::Sdram) ||
+          BM.image(MemSpace::Scratch) != BMP.image(MemSpace::Scratch))
+        mismatch(Seed, I,
+                 "superblock translation diverges from per-block translation",
+                 FR, PR);
+      if (!sameResult(SR, IR) || !(MS.Sram == MI.Sram) ||
+          !(MS.Sdram == MI.Sdram) || !(MS.Scratch == MI.Scratch))
+        mismatch(Seed, I, "SegmentContext diverges from interpreter", SR, IR);
     }
   }
   EXPECT_EQ(Mismatches, 0u) << Name;
@@ -522,6 +578,12 @@ void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed) {
 TEST(FastPathFuzz, Aes) { fuzzApp("aes", 210, 2); }
 TEST(FastPathFuzz, Kasumi) { fuzzApp("kasumi", 210, 2); }
 TEST(FastPathFuzz, Nat) { fuzzApp("nat", 210, 2); }
+
+// The same streams with strict shifts on: every block of both fast-path
+// executors runs on the shared slow tier.
+TEST(FastPathFuzz, AesSlowTier) { fuzzApp("aes", 210, 2, true); }
+TEST(FastPathFuzz, KasumiSlowTier) { fuzzApp("kasumi", 210, 2, true); }
+TEST(FastPathFuzz, NatSlowTier) { fuzzApp("nat", 210, 2, true); }
 
 //===----------------------------------------------------------------------===//
 // 3. The threaded soak driver
