@@ -18,10 +18,13 @@
 // With --fault-schedule the sweep measures goodput *under* faults (the
 // degradation curve in EXPERIMENTS.md); the interp/threaded trace-hash
 // cross-check still holds because fault firing is a pure function of
-// deterministic opportunity ordinals.
+// deterministic opportunity ordinals. Every record carries the host and
+// build identity (bench_util.h hostMeta: commit, nproc, compiler, build
+// type).
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench_util.h"
 #include "soak/ChipSoak.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
@@ -87,6 +90,7 @@ int main(int argc, char **argv) {
   // wall-clock ratio is measured on verified-identical simulations.
   std::string Json = "[";
   bool First = true;
+  const bench::HostMeta Host = bench::hostMeta();
   std::map<unsigned, uint64_t> InterpHash;
   std::map<unsigned, double> InterpWall;
   double OneMe = 0, SixMeRatio = 0;
@@ -150,7 +154,8 @@ int main(int argc, char **argv) {
           "\"reorder_high_water\":%u,\"tail_packets\":%llu,"
           "\"lockups_injected\":%llu,\"packets_recovered\":%llu,"
           "\"lockup_drops\":%llu,\"backpressure_drops\":%llu,"
-          "\"trace_hash\":\"%016llx\"}",
+          "\"trace_hash\":\"%016llx\",\"commit\":\"%s\",\"nproc\":%ld,"
+          "\"compiler\":\"%s\",\"build_type\":\"%s\"}",
           First ? "" : ",", App.c_str(), (unsigned long long)Packets,
           (unsigned long long)Seed, Threaded ? "threaded" : "interp",
           R.Base.WallSeconds, (unsigned long long)R.Chip.Superblocks,
@@ -165,7 +170,8 @@ int main(int argc, char **argv) {
           (unsigned long long)R.Chip.Recovery.PacketsRecovered,
           (unsigned long long)R.Chip.Recovery.LockupDrops,
           (unsigned long long)R.Chip.Recovery.BackpressureDrops,
-          (unsigned long long)R.Chip.TraceHash);
+          (unsigned long long)R.Chip.TraceHash, Host.Commit.c_str(),
+          Host.Nproc, Host.Compiler.c_str(), Host.BuildType.c_str());
       First = false;
       if (Threaded && Mes == 6 && R.Base.WallSeconds > 0)
         SixMeRatio = InterpWall[Mes] / R.Base.WallSeconds;

@@ -5,10 +5,11 @@
 //
 // Measures packets per second of the soak harness in both execution
 // modes — the per-packet interpreter (sim::runAllocated) and the
-// translating fast path (fastpath::Engine batches with a sampled
-// interpreter oracle) — across oracle sampling rates. Every run keeps
-// the differential oracle's verdict: any divergence fails the bench,
-// so the numbers are always measured on verified-identical execution.
+// translating fast path (fastpath::SegmentContext::run on every packet
+// with a sampled interpreter oracle) — across oracle sampling rates.
+// Every run keeps the differential oracle's verdict: any divergence
+// fails the bench, so the numbers are always measured on
+// verified-identical execution.
 //
 // The absolute numbers are environment-bound (this is a 1-core CI box;
 // see EXPERIMENTS.md "Soak throughput" for the analysis): watchdog-class

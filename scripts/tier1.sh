@@ -77,17 +77,19 @@ if [ "$SOAK_RC" -ne 1 ]; then
 fi
 
 # Threaded (translating fast path) soak smoke: the same adversarial
-# stream executed by fastpath::Engine with every 10th packet re-run on
-# the interpreter + functional + CPS oracles. The fast path must stay
-# bit-identical to the interpreter; any mismatch exits 1.
+# stream executed by the fast path to completion (SegmentContext::run)
+# with every 10th packet re-run on the interpreter + functional + CPS
+# oracles. The fast path must stay bit-identical to the interpreter; any
+# mismatch exits 1.
 echo "== threaded soak smoke (fast path, sampled oracle) =="
 timeout 120 "$BUILD/tools/novasoak" --packets 2000 --seed 7 \
   --exec threaded --oracle-rate 10 \
   --json "$BUILD/BENCH_soak_threaded_smoke.json"
 
-# Threaded negative control: the bit flip fires inside fastpath::Engine
-# too (it shares the injector), and the sampled interpreter re-run must
-# catch it. Oracle every packet so the 50-packet window always samples.
+# Threaded negative control: the bit flip fires inside the fast path's
+# slow tier too (it shares the injector), and the sampled interpreter
+# re-run must catch it. Oracle every packet so the 50-packet window
+# always samples.
 echo "== threaded negative control (bit flip must be caught on the fast path) =="
 SOAK_RC=0
 timeout 120 "$BUILD/tools/novasoak" --app nat --packets 50 --seed 3 \
@@ -220,13 +222,18 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test
+  chip_fault_test cps_test soak_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The supervisor's abort/restart path frees and rebuilds per-packet
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.
 timeout 300 "$SAN_BUILD/tests/chip_fault_test"
+# LeakSanitizer on the CPS reference evaluator and the soak oracle that
+# calls it per packet: an environment frame that keeps itself alive
+# (a closure capturing its own frame) leaks on every oracle call.
+ASAN_OPTIONS=detect_leaks=1 timeout 300 "$SAN_BUILD/tests/cps_test"
+ASAN_OPTIONS=detect_leaks=1 timeout 900 "$SAN_BUILD/tests/soak_test"
 
 # TSan pass over the chip scheduler: the discrete-event kernel is
 # single-threaded by design, so a clean TSan run plus deterministic
@@ -242,11 +249,11 @@ cmake --build "$TSAN_BUILD" -j"$JOBS" --target chip_test chip_fault_test \
 timeout 300 "$TSAN_BUILD/tests/chip_test"
 timeout 300 "$TSAN_BUILD/tests/chip_fault_test"
 
-# TSan soak over the batched generator + segmented fast path: the
+# TSan soak over the template-cached generator + the fast path: the
 # template cache and reused packet buffers are single-threaded by
 # design; a clean run here plus the byte-identity tests is the evidence
 # nothing aliases across packets.
-echo "== TSan threaded soak (batched generator path) =="
+echo "== TSan threaded soak (template-cached generator path) =="
 timeout 300 "$TSAN_BUILD/tools/novasoak" --app nat --packets 500 \
   --exec threaded --oracle-rate 10 --quiet
 echo "tier-1 verify: OK"

@@ -20,6 +20,7 @@
 #include "support/HwHash.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <memory>
 
 using namespace nova;
@@ -40,7 +41,10 @@ struct Value {
 /// One environment frame; chains to the lexical parent.
 struct Frame {
   std::map<ValueId, Value> Vals;
-  std::map<FuncId, Value> Funcs; ///< closures created by a Fix here
+  /// Functions a Fix defined here. Their closures capture this frame;
+  /// lookupClosure builds them on demand, because a frame storing its
+  /// own closures would hold a reference to itself and never be freed.
+  std::vector<FuncId> Funcs;
   FrameRef Parent;
 };
 
@@ -53,13 +57,14 @@ const Value *lookupValue(const FrameRef &Env, ValueId Id) {
   return nullptr;
 }
 
-const Value *lookupClosure(const FrameRef &Env, FuncId Id) {
-  for (const Frame *F = Env.get(); F; F = F->Parent.get()) {
-    auto It = F->Funcs.find(Id);
-    if (It != F->Funcs.end())
-      return &It->second;
-  }
-  return nullptr;
+/// The closure of function \p Id: it captures the innermost frame whose
+/// Fix defined \p Id. Top-level functions are closed.
+Value lookupClosure(const FrameRef &Env, FuncId Id) {
+  for (const FrameRef *F = &Env; *F; F = &(*F)->Parent)
+    if (std::find((*F)->Funcs.begin(), (*F)->Funcs.end(), Id) !=
+        (*F)->Funcs.end())
+      return {0, Id, *F};
+  return {0, Id, nullptr};
 }
 
 struct Machine {
@@ -80,12 +85,8 @@ struct Machine {
     }
     case Atom::Kind::Const:
       return {A.Value, NoFunc, nullptr};
-    case Atom::Kind::Label: {
-      if (const Value *C = lookupClosure(Env, A.Func))
-        return *C;
-      // Top-level functions are closed.
-      return {0, A.Func, nullptr};
-    }
+    case Atom::Kind::Label:
+      return lookupClosure(Env, A.Func);
     }
     return {};
   }
@@ -184,8 +185,7 @@ struct Machine {
         // recursion within one Fix).
         FrameRef Fresh = std::make_shared<Frame>();
         Fresh->Parent = Env;
-        for (FuncId F : E->FixFuncs)
-          Fresh->Funcs[F] = {0, F, Fresh};
+        Fresh->Funcs = E->FixFuncs;
         Env = Fresh;
         E = E->Cont;
         break;

@@ -8,13 +8,14 @@
 /// \file
 /// A translating execution mode for alloc::AllocatedProgram: each program
 /// is pre-translated once into a flat, pre-decoded op stream executed by
-/// a computed-goto dispatch loop (src/fastpath/Engine.cpp). The fast path
-/// is itself a compiler, so it plugs into the soak harness's differential
-/// oracle with the interpreter (sim::AllocContext) as the reference — the
-/// contract is *bit-identical* RunResults: same trap kinds and message
-/// strings, same instruction and cycle counts at the trap point, same
-/// halt values and final memory images, same fault-injector draw
-/// sequences.
+/// one computed-goto dispatch loop (fastpath::SegmentContext, Segment.h),
+/// either to completion (standalone soak) or resumably between memory
+/// references (chip contexts). The fast path is itself a compiler, so it
+/// plugs into the soak harness's differential oracle with the
+/// interpreter (sim::AllocContext) as the reference — the contract is
+/// *bit-identical* RunResults: same trap kinds and message strings, same
+/// instruction and cycle counts at the trap point, same halt values and
+/// final memory images, same fault-injector draw sequences.
 ///
 /// Translation scheme:
 ///  - operands become direct offsets into a flat register frame (the six
@@ -57,13 +58,13 @@
 /// per-instruction bookkeeping.
 ///
 /// Memory-access cycle costs are *not* folded into the cold prefix sums:
-/// each memory op carries its flat cost in FastOp::Y, charged into the
-/// block-entry cycle base as the op executes. That split is what makes
-/// the stream resumable: Engine charges Y itself (standalone soak, flat
-/// latency), while SegmentContext (Segment.h) yields to the whole-chip
+/// each memory op carries its flat cost in FastOp::Y. That split is what
+/// makes the stream resumable: SegmentContext::run charges Y into the
+/// block-entry cycle base as the op executes (standalone soak, flat
+/// latency), while SegmentContext::resume yields to the whole-chip
 /// scheduler instead and absorbs whatever contention-dependent charge
-/// the caller applied — including spill-window rebasing — keeping the
-/// chip's discrete-event schedule bit-identical to the interpreted chip.
+/// the caller applied — with spill-window rebasing — keeping the chip's
+/// discrete-event schedule bit-identical to the interpreted chip.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,25 +180,6 @@ Translated translate(const alloc::AllocatedProgram &P,
 Translated translate(const alloc::AllocatedProgram &P,
                      const sim::LatencyModel &Lat,
                      const TranslateOptions &Options);
-
-/// Executes a Translated program. Reusable across packets; owns only the
-/// register frame.
-class Engine {
-public:
-  explicit Engine(const Translated &T);
-
-  /// Runs one packet: arguments in A0.., memory state in \p Mem.
-  /// Opts.Lat must be the model the program was translated with.
-  /// Bit-identical to sim::runAllocated on a sim::Memory holding the
-  /// same image (the fast path ignores spill rebasing, which
-  /// runAllocated never uses either).
-  sim::RunResult run(const std::vector<uint32_t> &Args, BatchMemory &Mem,
-                     const sim::RunOptions &Opts);
-
-private:
-  const Translated *T;
-  std::vector<uint32_t> Frame;
-};
 
 } // namespace fastpath
 } // namespace nova

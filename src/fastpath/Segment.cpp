@@ -1,18 +1,35 @@
-//===- Segment.cpp - Resumable fast-path execution context ----------------===//
+//===- Segment.cpp - The fast-path dispatch loop --------------------------===//
 //
 // Part of the nova-ixp project: a reproduction of "Taming the IXP Network
 // Processor" (PLDI 2003).
 //
 //===----------------------------------------------------------------------===//
 //
-// Behaviour contract (pinned by the chip-threaded-vs-chip-interp
-// whole-report equality test and the sampled three-way oracle): yields at
-// exactly the instructions sim::AllocContext would yield at, with the
-// same space and burst cycle count, the same memory data effects already
-// applied (including spill-window rebasing), and the same trap kinds,
-// messages, and counts on completion. The slow tier is sim::step itself,
-// so it matches the interpreter by construction; the fast tier
-// reconstructs exact counters from cold data at every yield and exit.
+// Two execution tiers, chosen per block at BlockEntry:
+//
+//  - the threaded fast tier: computed-goto dispatch over the pre-decoded
+//    stream, operands as direct frame indices, no per-instruction
+//    counters. Exits (branch/jump/halt/trap) and yields reconstruct the
+//    exact interpreter instruction/cycle counts from the per-op cold
+//    data relative to the counters saved at block entry;
+//
+//  - the slow tier: the interpreter's own step function (sim/Step.h)
+//    over the same frame. It is taken when the fault injector is armed,
+//    strict shift trapping is on, the block has a statically illegal
+//    register operand, or the watchdog could fire inside the block, and
+//    hands back to the fast tier at the next block edge.
+//
+// Behaviour contract (pinned by the differential fuzz, the
+// chip-threaded-vs-chip-interp whole-report equality test and the
+// sampled three-way oracle): run() is bit-identical to sim::runAllocated;
+// resume() yields at exactly the instructions sim::AllocContext would
+// yield at, with the same space and burst cycle count, the same memory
+// data effects already applied (including spill-window rebasing), and
+// the same trap kinds, messages, and counts on completion.
+//
+// The dispatch loop uses labels-as-values, a GCC/Clang extension; the
+// build needs one of those compilers anyway (GNU warning flags, POSIX
+// file and signal APIs).
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,22 +64,73 @@ void SegmentContext::reset(const std::vector<uint32_t> &Args) {
     PC = T->Meta[T->Prog->Entry].EnterOp;
 }
 
+namespace {
+
+/// Slow tier: sim::step over the context's frame from \p Pos. Without
+/// \p Yields it pays the flat memory latency at each Mem exit, as
+/// sim::runAllocated does, and returns the Done or BlockEdge exit; with
+/// \p Yields it returns every exit. Kept out of line: inlined, its locals
+/// cost the dispatch loop a register (GCC then sets up a frame pointer).
+template <bool Yields, class MemT>
+[[gnu::noinline]] sim::StepExit
+slowTier(const alloc::AllocatedProgram &P, uint32_t *F, sim::StepPos &Pos,
+         sim::RunResult &R, MemT &Mem, const sim::RunOptions &Opts,
+         uint32_t Rebase) {
+  sim::StepExit X;
+  while ((X = sim::step(P, F, Pos, R, Mem, Opts, Rebase)).K ==
+             sim::StepExit::Kind::Mem &&
+         !Yields)
+    R.Cycles += Opts.Lat.memAccess(X.Space);
+  return X;
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
-// Fast tier: switch dispatch over the translated stream, yielding at
-// memory references. Bursts between yields are short, so a plain switch
-// is fine here; the standalone Engine keeps the computed-goto loop.
+// The dispatch loop
 //===----------------------------------------------------------------------===//
 
-SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
-                                             const sim::RunOptions &Opts) {
-  assert(!Finished && "resume() on a completed context");
-  const uint64_t BurstStart = R.Cycles;
-  auto finish = [&]() -> Yield {
-    Finished = true;
-    return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
-  };
+#define VM_CASE(K) L_##K:
+#define VM_DISPATCH() goto *JT[static_cast<unsigned>(Ops[PC].Kind)]
+// Exact interpreter counts at op PC, from the bases and its cold data.
+#define VM_EXIT_COUNTS()                                                  \
+  R.Instructions = StartIns + ColdA[PC].InsDelta;                         \
+  R.Cycles = StartCyc + ColdA[PC].CycPrefix
+// The yielding loop writes its locals back to the context on return.
+#define VM_SAVE()                                                         \
+  if constexpr (Yields) {                                                 \
+    this->PC = PC;                                                        \
+    this->Ins = Ins;                                                      \
+    this->Cyc = Cyc;                                                      \
+    this->StartIns = StartIns;                                            \
+    this->StartCyc = StartCyc;                                            \
+  }
+#define VM_FINISH()                                                       \
+  do {                                                                    \
+    Finished = true;                                                      \
+    VM_SAVE();                                                            \
+    return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};    \
+  } while (0)
+// A memory op issued in range: yield to the caller, or charge the flat
+// cost into the block-entry base and continue.
+#define VM_ISSUED(S)                                                      \
+  if constexpr (Yields) {                                                 \
+    VM_EXIT_COUNTS();                                                     \
+    YieldPC = PC;                                                         \
+    FastYield = true;                                                     \
+    VM_SAVE();                                                            \
+    return {Yield::Kind::Mem, S, R.Cycles - BurstStart};                  \
+  }                                                                       \
+  StartCyc += O.Y;                                                        \
+  ++PC;                                                                   \
+  VM_DISPATCH()
 
-  if (FastYield) {
+template <bool Yields, class MemT>
+SegmentContext::Yield SegmentContext::exec(MemT &Mem,
+                                           const sim::RunOptions &Opts) {
+  assert(!Finished && "exec() on a completed context");
+  const uint64_t BurstStart = Yields ? R.Cycles : 0;
+  if (Yields && FastYield) {
     // Re-derive the bases from the counters the yield materialized plus
     // whatever the caller charged: StartCyc absorbs the charge, so every
     // later exit still reconstructs exact interpreter counts.
@@ -82,247 +150,309 @@ SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
   const uint64_t MaxIns = Opts.MaxInstructions;
   const unsigned BranchCost = Opts.Lat.Branch;
   const bool SlowAll = FaultInjector::armed() || Opts.TrapOnShiftRange;
+  // Standalone runs have no spill windows to rebase.
+  const uint32_t Rebase = Yields ? SpillRebase : 0;
 
-  while (true) {
-    if (InSlow) {
-      // The slow tier yields where the interpreter does (its entry check
-      // traps an Err latched at the previous memory op) and hands back to
-      // the fast tier at the next block edge.
-      sim::StepExit X = sim::step(P, F, Pos, R, Mem, Opts, SpillRebase);
-      if (X.K == sim::StepExit::Kind::Done)
-        return finish();
-      if (X.K == sim::StepExit::Kind::Mem)
-        return {Yield::Kind::Mem, X.Space, R.Cycles - BurstStart};
-      InSlow = false;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = Meta[X.Target].EnterOp;
-    }
+  // Live counters: exact at every block boundary. Interior fast ops
+  // never touch them; exits rebuild them from Start + cold data.
+  uint32_t PC = this->PC;
+  uint64_t Ins = this->Ins, Cyc = this->Cyc;
+  uint64_t StartIns = this->StartIns, StartCyc = this->StartCyc;
 
+  static const void *JT[] = {
+      &&L_BlockEntry, &&L_AluAdd,    &&L_AluSub,   &&L_AluAnd,
+      &&L_AluOr,      &&L_AluXor,    &&L_AluShl,   &&L_AluShr,
+      &&L_AluNot,     &&L_Copy,      &&L_Hash,     &&L_MemRead,
+      &&L_MemWrite,   &&L_BitTestSet, &&L_BranchEq, &&L_BranchNe,
+      &&L_BranchLt,   &&L_BranchGt,  &&L_BranchLe, &&L_BranchGe,
+      &&L_Jump,       &&L_Halt,      &&L_TrapStatic,
+      &&L_SuperEntry, &&L_GuardEq,   &&L_GuardNe,  &&L_GuardLt,
+      &&L_GuardGt,    &&L_GuardLe,   &&L_GuardGe,
+      &&L_FuseCopyAdd, &&L_FuseCopySub, &&L_FuseCopyAnd, &&L_FuseCopyOr,
+      &&L_FuseCopyXor, &&L_FuseCopyShl, &&L_FuseCopyShr, &&L_FuseCopyNot,
+      &&L_FuseCopyCopy, &&L_FuseShlAdd,
+      &&L_FuseCopyMemRead, &&L_FuseCopyMemWrite,
+  };
+  if (Yields && InSlow)
+    goto SlowTier;
+  VM_DISPATCH();
+
+  VM_CASE(BlockEntry) {
     const FastOp &O = Ops[PC];
-    switch (O.Kind) {
-    case FOp::BlockEntry: {
-      const BlockMeta &M = Meta[O.X];
-      if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
-        R.Instructions = Ins;
-        R.Cycles = Cyc;
-        InSlow = true;
-        Pos.B = O.X;
-        Pos.Idx = 0;
-        break;
-      }
-      StartIns = Ins;
-      StartCyc = Cyc;
-      ++PC;
-      break;
+    const BlockMeta &M = Meta[O.X];
+    if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
+      R.Instructions = Ins;
+      R.Cycles = Cyc;
+      Pos.B = O.X;
+      Pos.Idx = 0;
+      goto SlowTier;
     }
-
-    case FOp::SuperEntry:
-      if (SlowAll || Ins + O.Y > MaxIns) {
-        PC = Meta[O.X].FirstOp;
-        break;
-      }
-      StartIns = Ins;
-      StartCyc = Cyc;
-      ++PC;
-      break;
-
-    case FOp::AluAdd:
-    case FOp::AluSub:
-    case FOp::AluAnd:
-    case FOp::AluOr:
-    case FOp::AluXor:
-    case FOp::AluShl:
-    case FOp::AluShr:
-    case FOp::AluNot:
-      F[O.D] = cps::evalPrim(
-          static_cast<cps::PrimOp>(static_cast<unsigned>(O.Kind) -
-                                   static_cast<unsigned>(FOp::AluAdd)),
-          F[O.A], F[O.B]);
-      ++PC;
-      break;
-
-    case FOp::Copy:
-      F[O.D] = F[O.A];
-      ++PC;
-      break;
-
-    // Fused pairs: the leading copy writes before the second op reads,
-    // matching the unfused frame state exactly.
-    case FOp::FuseCopyAdd:
-    case FOp::FuseCopySub:
-    case FOp::FuseCopyAnd:
-    case FOp::FuseCopyOr:
-    case FOp::FuseCopyXor:
-    case FOp::FuseCopyShl:
-    case FOp::FuseCopyShr:
-    case FOp::FuseCopyNot:
-      F[O.X] = F[O.Y];
-      F[O.D] = cps::evalPrim(
-          static_cast<cps::PrimOp>(static_cast<unsigned>(O.Kind) -
-                                   static_cast<unsigned>(FOp::FuseCopyAdd)),
-          F[O.A], F[O.B]);
-      ++PC;
-      break;
-
-    case FOp::FuseCopyCopy:
-      F[O.X] = F[O.Y];
-      F[O.D] = F[O.A];
-      ++PC;
-      break;
-
-    case FOp::FuseShlAdd:
-      F[O.D] = cps::evalPrim(cps::PrimOp::Add, F[O.X],
-                             cps::evalPrim(cps::PrimOp::Shl, F[O.A], F[O.B]));
-      ++PC;
-      break;
-
-    case FOp::Hash:
-      F[O.D] = hwHash(F[O.A]);
-      ++PC;
-      break;
-
-    case FOp::FuseCopyMemRead:
-    case FOp::MemRead: {
-      if (O.Kind == FOp::FuseCopyMemRead)
-        F[O.D] = F[O.B]; // leading copy retires before the memory op
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, O.N)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(S), O.N, Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      const uint16_t *Dst = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        F[Dst[K]] = sim::Memory::load(Sp, Addr + K);
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::FuseCopyMemWrite:
-    case FOp::MemWrite: {
-      if (O.Kind == FOp::FuseCopyMemWrite)
-        F[O.D] = F[O.B];
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, O.N)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(S), O.N, Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      const uint16_t *Src = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        Sp[Addr + K] = F[Src[K]];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::BitTestSet: {
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = sim::rebaseSpill(P, SpillRebase, S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, 1)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
-                     Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      uint32_t Old = sim::Memory::load(Sp, Addr);
-      Sp[Addr] = Old | F[O.B];
-      F[O.D] = Old;
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::BranchEq:
-    case FOp::BranchNe:
-    case FOp::BranchLt:
-    case FOp::BranchGt:
-    case FOp::BranchLe:
-    case FOp::BranchGe: {
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = cps::evalCmp(
-               static_cast<cps::CmpOp>(static_cast<unsigned>(O.Kind) -
-                                       static_cast<unsigned>(FOp::BranchEq)),
-               F[O.A], F[O.B])
-               ? O.X
-               : O.Y;
-      break;
-    }
-
-    case FOp::GuardEq:
-    case FOp::GuardNe:
-    case FOp::GuardLt:
-    case FOp::GuardGt:
-    case FOp::GuardLe:
-    case FOp::GuardGe: {
-      if (cps::evalCmp(
-              static_cast<cps::CmpOp>(static_cast<unsigned>(O.Kind) -
-                                      static_cast<unsigned>(FOp::GuardEq)),
-              F[O.A], F[O.B]) == (O.Aux != 0)) {
-        ++PC;
-        break;
-      }
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = O.X;
-      break;
-    }
-
-    case FOp::Jump: {
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = O.X;
-      break;
-    }
-
-    case FOp::Halt: {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      const uint16_t *Src = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        R.HaltValues.push_back(F[Src[K]]);
-      R.Ok = true;
-      return finish();
-    }
-
-    case FOp::TrapStatic: {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      trap(R, static_cast<sim::TrapKind>(O.Aux), T->Messages[O.X]);
-      return finish();
-    }
-    }
+    StartIns = Ins;
+    StartCyc = Cyc;
+    ++PC;
+    VM_DISPATCH();
   }
+
+  VM_CASE(SuperEntry) {
+    const FastOp &O = Ops[PC];
+    // The chain's whole path must fit in the remaining budget (and the
+    // per-instruction escape hatches must be off); otherwise fall back
+    // to the head block's own stream, whose BlockEntry gate decides at
+    // block granularity.
+    if (SlowAll || Ins + O.Y > MaxIns) {
+      PC = Meta[O.X].FirstOp;
+      VM_DISPATCH();
+    }
+    StartIns = Ins;
+    StartCyc = Cyc;
+    ++PC;
+    VM_DISPATCH();
+  }
+
+#define ALU_CASE(NAME, PRIM)                                              \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = Ops[PC];                                            \
+    F[O.D] = cps::evalPrim(cps::PrimOp::PRIM, F[O.A], F[O.B]);            \
+    ++PC;                                                                 \
+    VM_DISPATCH();                                                        \
+  }
+  ALU_CASE(AluAdd, Add)
+  ALU_CASE(AluSub, Sub)
+  ALU_CASE(AluAnd, And)
+  ALU_CASE(AluOr, Or)
+  ALU_CASE(AluXor, Xor)
+  ALU_CASE(AluShl, Shl)
+  ALU_CASE(AluShr, Shr)
+  ALU_CASE(AluNot, Not)
+#undef ALU_CASE
+
+  VM_CASE(Copy) {
+    const FastOp &O = Ops[PC];
+    F[O.D] = F[O.A];
+    ++PC;
+    VM_DISPATCH();
+  }
+
+// Fused pairs: the leading copy writes before the second op reads, so
+// a second op that reads (or overwrites) the copy's destination sees
+// exactly the unfused frame state.
+#define FUSE_CASE(NAME, PRIM)                                             \
+  VM_CASE(FuseCopy##NAME) {                                               \
+    const FastOp &O = Ops[PC];                                            \
+    F[O.X] = F[O.Y];                                                      \
+    F[O.D] = cps::evalPrim(cps::PrimOp::PRIM, F[O.A], F[O.B]);            \
+    ++PC;                                                                 \
+    VM_DISPATCH();                                                        \
+  }
+  FUSE_CASE(Add, Add)
+  FUSE_CASE(Sub, Sub)
+  FUSE_CASE(And, And)
+  FUSE_CASE(Or, Or)
+  FUSE_CASE(Xor, Xor)
+  FUSE_CASE(Shl, Shl)
+  FUSE_CASE(Shr, Shr)
+  FUSE_CASE(Not, Not)
+#undef FUSE_CASE
+
+  VM_CASE(FuseCopyCopy) {
+    const FastOp &O = Ops[PC];
+    F[O.X] = F[O.Y];
+    F[O.D] = F[O.A];
+    ++PC;
+    VM_DISPATCH();
+  }
+
+  VM_CASE(FuseShlAdd) {
+    const FastOp &O = Ops[PC];
+    F[O.D] = cps::evalPrim(cps::PrimOp::Add, F[O.X],
+                           cps::evalPrim(cps::PrimOp::Shl, F[O.A], F[O.B]));
+    ++PC;
+    VM_DISPATCH();
+  }
+
+  VM_CASE(Hash) {
+    const FastOp &O = Ops[PC];
+    F[O.D] = hwHash(F[O.A]);
+    ++PC;
+    VM_DISPATCH();
+  }
+
+// Memory ops, plain and fused: a fused op's leading copy retires before
+// the memory op issues. Each form keeps its own dispatch label (sharing
+// one body costs the standalone loop measurably on kasumi).
+#define MEM_READ_CASE(NAME, FUSED)                                        \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = Ops[PC];                                            \
+    if (FUSED)                                                            \
+      F[O.D] = F[O.B];                                                    \
+    MemSpace S = static_cast<MemSpace>(O.Aux);                            \
+    uint32_t Addr = sim::rebaseSpill(P, Rebase, S, F[O.A]);               \
+    if (!Mem.inRange(S, Addr, O.N)) {                                     \
+      VM_EXIT_COUNTS();                                                   \
+      trap(R, rangeTrapFor(S),                                            \
+           formatf("%s read of %u words at 0x%x (limit 0x%x)",            \
+                   spaceName(S), O.N, Addr, Mem.limits().words(S)));      \
+      VM_FINISH();                                                        \
+    }                                                                     \
+    const uint16_t *Dst = Pool + O.X;                                     \
+    for (uint32_t K = 0; K != O.N; ++K)                                   \
+      F[Dst[K]] = Mem.load(S, Addr + K);                                  \
+    VM_ISSUED(S);                                                         \
+  }
+  MEM_READ_CASE(MemRead, false)
+  MEM_READ_CASE(FuseCopyMemRead, true)
+#undef MEM_READ_CASE
+
+#define MEM_WRITE_CASE(NAME, FUSED)                                       \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = Ops[PC];                                            \
+    if (FUSED)                                                            \
+      F[O.D] = F[O.B];                                                    \
+    MemSpace S = static_cast<MemSpace>(O.Aux);                            \
+    uint32_t Addr = sim::rebaseSpill(P, Rebase, S, F[O.A]);               \
+    if (!Mem.inRange(S, Addr, O.N)) {                                     \
+      VM_EXIT_COUNTS();                                                   \
+      trap(R, rangeTrapFor(S),                                            \
+           formatf("%s write of %u words at 0x%x (limit 0x%x)",           \
+                   spaceName(S), O.N, Addr, Mem.limits().words(S)));      \
+      VM_FINISH();                                                        \
+    }                                                                     \
+    const uint16_t *Src = Pool + O.X;                                     \
+    for (uint32_t K = 0; K != O.N; ++K)                                   \
+      Mem.store(S, Addr + K, F[Src[K]]);                                  \
+    VM_ISSUED(S);                                                         \
+  }
+  MEM_WRITE_CASE(MemWrite, false)
+  MEM_WRITE_CASE(FuseCopyMemWrite, true)
+#undef MEM_WRITE_CASE
+
+  VM_CASE(BitTestSet) {
+    const FastOp &O = Ops[PC];
+    MemSpace S = static_cast<MemSpace>(O.Aux);
+    uint32_t Addr = sim::rebaseSpill(P, Rebase, S, F[O.A]);
+    if (!Mem.inRange(S, Addr, 1)) {
+      VM_EXIT_COUNTS();
+      trap(R, rangeTrapFor(S),
+           formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
+                   Addr, Mem.limits().words(S)));
+      VM_FINISH();
+    }
+    uint32_t Old = Mem.load(S, Addr);
+    Mem.store(S, Addr, Old | F[O.B]);
+    F[O.D] = Old;
+    VM_ISSUED(S);
+  }
+
+#define BRANCH_CASE(NAME, CMP)                                            \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = Ops[PC];                                            \
+    const ColdInfo &C = ColdA[PC];                                        \
+    Ins = StartIns + C.InsDelta;                                          \
+    Cyc = StartCyc + C.CycPrefix + BranchCost;                            \
+    PC = cps::evalCmp(cps::CmpOp::CMP, F[O.A], F[O.B]) ? O.X : O.Y;       \
+    VM_DISPATCH();                                                        \
+  }
+  BRANCH_CASE(BranchEq, Eq)
+  BRANCH_CASE(BranchNe, Ne)
+  BRANCH_CASE(BranchLt, Lt)
+  BRANCH_CASE(BranchGt, Gt)
+  BRANCH_CASE(BranchLe, Le)
+  BRANCH_CASE(BranchGe, Ge)
+#undef BRANCH_CASE
+
+// Superblock side-exit: fall through to the next op while execution
+// stays on the chain; on exit, reconstruct cumulative counts (cold data
+// is relative to the SuperEntry) and leave. Aux is the polarity of the
+// comparison that continues the chain.
+#define GUARD_CASE(NAME, CMP)                                             \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = Ops[PC];                                            \
+    if (cps::evalCmp(cps::CmpOp::CMP, F[O.A], F[O.B]) == (O.Aux != 0)) {  \
+      ++PC;                                                               \
+      VM_DISPATCH();                                                      \
+    }                                                                     \
+    const ColdInfo &C = ColdA[PC];                                        \
+    Ins = StartIns + C.InsDelta;                                          \
+    Cyc = StartCyc + C.CycPrefix + BranchCost;                            \
+    PC = O.X;                                                             \
+    VM_DISPATCH();                                                        \
+  }
+  GUARD_CASE(GuardEq, Eq)
+  GUARD_CASE(GuardNe, Ne)
+  GUARD_CASE(GuardLt, Lt)
+  GUARD_CASE(GuardGt, Gt)
+  GUARD_CASE(GuardLe, Le)
+  GUARD_CASE(GuardGe, Ge)
+#undef GUARD_CASE
+
+  VM_CASE(Jump) {
+    const FastOp &O = Ops[PC];
+    const ColdInfo &C = ColdA[PC];
+    Ins = StartIns + C.InsDelta;
+    Cyc = StartCyc + C.CycPrefix + BranchCost;
+    PC = O.X;
+    VM_DISPATCH();
+  }
+
+  VM_CASE(Halt) {
+    const FastOp &O = Ops[PC];
+    VM_EXIT_COUNTS();
+    const uint16_t *Src = Pool + O.X;
+    for (uint32_t K = 0; K != O.N; ++K)
+      R.HaltValues.push_back(F[Src[K]]);
+    R.Ok = true;
+    VM_FINISH();
+  }
+
+  VM_CASE(TrapStatic) {
+    const FastOp &O = Ops[PC];
+    VM_EXIT_COUNTS();
+    trap(R, static_cast<sim::TrapKind>(O.Aux), T->Messages[O.X]);
+    VM_FINISH();
+  }
+
+SlowTier: {
+  // The slow tier yields where the interpreter does (its entry check
+  // traps an Err latched at the previous memory op) and hands back to
+  // the fast tier at the next block edge.
+  if constexpr (Yields)
+    InSlow = true;
+  sim::StepExit X = slowTier<Yields>(P, F, Pos, R, Mem, Opts, Rebase);
+  if (X.K == sim::StepExit::Kind::Done)
+    VM_FINISH();
+  if constexpr (Yields) {
+    if (X.K == sim::StepExit::Kind::Mem) {
+      VM_SAVE();
+      return {Yield::Kind::Mem, X.Space, R.Cycles - BurstStart};
+    }
+    InSlow = false;
+  }
+  Ins = R.Instructions;
+  Cyc = R.Cycles;
+  PC = Meta[X.Target].EnterOp;
+  VM_DISPATCH();
+}
+}
+
+#undef VM_CASE
+#undef VM_DISPATCH
+#undef VM_EXIT_COUNTS
+#undef VM_SAVE
+#undef VM_FINISH
+#undef VM_ISSUED
+
+SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
+                                             const sim::RunOptions &Opts) {
+  return exec<true>(Mem, Opts);
+}
+
+sim::RunResult SegmentContext::run(const std::vector<uint32_t> &Args,
+                                   BatchMemory &Mem,
+                                   const sim::RunOptions &Opts) {
+  reset(Args);
+  if (!Finished)
+    exec<false>(Mem, Opts);
+  return takeResult();
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,30 +6,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// SegmentContext runs a fastpath::Translated stream with the resumable
-/// contract of sim::AllocContext: resume() executes until the run
-/// completes or a memory reference is issued, memory data effects apply
-/// at issue, and the caller decides what the reference costs and pays it
-/// with charge(). That lets chip::Chip drive each hardware context on
-/// the translated fast path between swap points while keeping the
-/// discrete-event schedule — swap order, channel contention, stall
-/// cycles, ring traces, final memory images — bit-identical to the
-/// interpreted chip.
+/// SegmentContext is the one executor of a fastpath::Translated stream,
+/// with two entry points over one computed-goto dispatch loop
+/// (Segment.cpp):
 ///
-/// The trick that makes the flat stream resumable is the same cold-data
-/// algebra the Engine uses for traps, applied at yields: the yielding
-/// memory op materializes exact interpreter counts from (base + cold),
-/// and re-entry recomputes the bases from the updated counters
-/// (StartCyc = R.Cycles - CycPrefix), absorbing whatever
-/// contention-dependent latency the caller charged between bursts.
-/// Memory-op flat costs (FastOp::Y) are never self-charged here — the
-/// caller owns them, exactly like the interpreter's yield contract.
+///  - run() executes a whole packet to completion on a
+///    fastpath::BatchMemory — the standalone threaded soak. Each memory
+///    op charges its flat cost (FastOp::Y) into the block-entry cycle
+///    base as it executes, so interior ops touch no counters at all.
 ///
-/// Exactness escape hatches match the Engine: blocks that can observe
-/// per-instruction state run on the slow tier, which is the interpreter's
-/// own resumable step function (sim::step, src/sim/Step.h) over this
-/// context's frame — one copy of the Err-latch timing, injector draw
-/// order, and spill-window rebasing.
+///  - resume() has the resumable contract of sim::AllocContext on a
+///    sim::Memory — the chip's threaded contexts. It executes until the
+///    run completes or a memory reference is issued; memory data effects
+///    apply at issue, and the caller decides what the reference costs
+///    and pays it with charge(). That keeps the chip's discrete-event
+///    schedule — swap order, channel contention, stall cycles, ring
+///    traces, final memory images — bit-identical to the interpreted
+///    chip.
+///
+/// The trick that makes the flat stream resumable is the cold-data
+/// algebra the loop already uses for exits and traps, applied at yields:
+/// the yielding memory op materializes exact interpreter counts from
+/// (base + cold), and re-entry recomputes the bases from the updated
+/// counters (StartCyc = R.Cycles - CycPrefix), absorbing whatever
+/// contention-dependent latency the caller charged between bursts. The
+/// loop keeps its state in locals; resume() loads it from the context on
+/// entry and writes it back when it yields.
+///
+/// Exactness escape hatches: blocks that can observe per-instruction
+/// state run on the slow tier, which is the interpreter's own step
+/// function (sim::step, src/sim/Step.h) over this context's frame — one
+/// copy of the Err-latch timing, injector draw order, and spill-window
+/// rebasing. run() pays the flat memory latency at each of its memory
+/// exits; resume() yields at them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +51,10 @@
 namespace nova {
 namespace fastpath {
 
-/// A resumable fast-path execution of one Translated program: private
-/// register frame, a stream PC, and in-progress RunResult accounting.
-/// Drop-in for sim::AllocContext in the chip's context-swap loop.
+/// A fast-path execution of one Translated program: private register
+/// frame, a stream PC, and in-progress RunResult accounting. Reusable
+/// across packets; drop-in for sim::AllocContext in the chip's
+/// context-swap loop.
 class SegmentContext {
 public:
   using Yield = sim::AllocContext::Yield;
@@ -92,6 +102,14 @@ public:
   /// be the model the program was translated with.
   Yield resume(sim::Memory &Mem, const sim::RunOptions &Opts);
 
+  /// Runs one packet to completion: arguments in A0.., memory state in
+  /// \p Mem, flat memory latency charged inline. Opts.Lat must be the
+  /// model the program was translated with. Bit-identical to
+  /// sim::runAllocated on a sim::Memory holding the same image; the
+  /// spill rebase does not apply (runAllocated has none either).
+  sim::RunResult run(const std::vector<uint32_t> &Args, BatchMemory &Mem,
+                     const sim::RunOptions &Opts);
+
   /// Checkpoint serialization of the resumable run state (frame, PCs,
   /// cold-data bases, accounting). The Translated binding and spill
   /// rebase are construction-time configuration and are NOT saved —
@@ -101,6 +119,11 @@ public:
   void restoreState(BinReader &R);
 
 private:
+  /// The dispatch loop. Yields=false runs to completion (run()),
+  /// Yields=true returns at every memory reference (resume()).
+  template <bool Yields, class MemT>
+  Yield exec(MemT &Mem, const sim::RunOptions &Opts);
+
   const Translated *T = nullptr;
   std::vector<uint32_t> Frame;
   sim::RunResult R;

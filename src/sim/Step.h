@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one copy of the micro-engine's per-instruction semantics. Every
-/// executor runs it: sim::AllocContext (the interpreter) for whole runs,
-/// and the slow tier of the translating fast path (fastpath::Engine,
-/// fastpath::SegmentContext) for the blocks its threaded tier cannot run
-/// exactly. Trap precedence and messages, the illegal-register latch,
-/// per-op cycle charges, spill-window rebasing, and the fault injector's
+/// The one copy of the micro-engine's per-instruction semantics. Both
+/// executors run it: sim::AllocContext (the interpreter) for whole runs,
+/// and the slow tier of the translating fast path
+/// (fastpath::SegmentContext, in both its run-to-completion and its
+/// yielding mode) for the blocks its threaded tier cannot run exactly.
+/// Trap precedence and messages, the illegal-register latch, per-op
+/// cycle charges, spill-window rebasing, and the fault injector's
 /// draw order therefore live only here:
 ///
 ///  - identical trap kinds and messages, with the instruction and cycle

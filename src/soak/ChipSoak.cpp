@@ -11,7 +11,6 @@
 #include "support/Timer.h"
 
 #include <cassert>
-#include <csignal>
 
 using namespace nova;
 using namespace nova::soak;
@@ -185,70 +184,25 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
     }
   };
 
-  // Resume: restore the report fold, the ChipOutcomeMismatches counter,
-  // the dispatch cursor, and the complete chip state into the freshly
-  // constructed (identical-topology) chip.
+  // Snapshots append the ChipOutcomeMismatches counter and the complete
+  // chip state to the soak progress; resume restores both into the
+  // freshly constructed (identical-topology) chip.
   uint64_t StartRetired = 0;
-  if (CK.Resume) {
-    ckpt::LoadedCheckpoint LC;
-    std::vector<std::string> Notes;
-    Status S = ckpt::findLatestValid(CK.Dir, Meta, LC, &Notes);
-    for (const std::string &N : Notes)
-      std::fprintf(stderr, "novasoak: warning: skipping checkpoint: %s\n",
-                   N.c_str());
-    if (!S.ok()) {
-      Rep.Base.CkptError = S;
-      return Rep;
-    }
-    BinReader R = LC.stateReader();
-    restoreSoakProgress(R, Rep.Base, Next);
-    Rep.ChipOutcomeMismatches = R.u64();
-    C.restoreState(R);
-    if (R.failed() || R.remaining() != 0) {
-      Rep.Base.CkptError = Status::error(
-          StatusCode::CheckpointCorrupt, Phase::Driver,
-          "checkpoint " + LC.Path + ": state section malformed");
-      return Rep;
-    }
-    Rep.Base.ResumedFrom = LC.Path;
-    StartRetired = LC.Meta.PacketsRetired;
-    std::fprintf(stderr, "novasoak: resumed %s from %s (%llu retired)\n",
-                 Rep.Base.App.c_str(), LC.Path.c_str(),
-                 (unsigned long long)StartRetired);
-  }
-
-  uint64_t NextCkpt = CK.Every ? (StartRetired / CK.Every + 1) * CK.Every : 0;
-  uint64_t NextProg =
-      CK.ProgressEvery
-          ? (StartRetired / CK.ProgressEvery + 1) * CK.ProgressEvery
-          : 0;
-  uint64_t LastCkpt = StartRetired;
+  if (CK.Resume && !resumeSoak(CK, Meta, Rep.Base, Next, StartRetired,
+                               [&](BinReader &R) {
+                                 Rep.ChipOutcomeMismatches = R.u64();
+                                 C.restoreState(R);
+                               }))
+    return Rep;
+  CkptDriver CD(CK, Meta, Rep.Base, Clock, StartRetired, [&](BinWriter &W) {
+    W.u64(Rep.ChipOutcomeMismatches);
+    C.saveState(W);
+  });
+  // The hook fires between events with the chip quiescent, so the
+  // dispatch cursor, report fold, and chip image are coherent.
   if (CK.Every || CK.ProgressEvery || CK.KillAfter || CK.StopAfter)
     C.setRetireHook([&](uint64_t Retired, uint64_t) {
-      if (NextCkpt && Retired >= NextCkpt) {
-        // The hook fires between events with the chip quiescent, so the
-        // dispatch cursor, report fold, and chip image are coherent.
-        BinWriter W;
-        saveSoakProgress(W, Rep.Base, Next);
-        W.u64(Rep.ChipOutcomeMismatches);
-        C.saveState(W);
-        Meta.PacketsRetired = Retired;
-        if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes());
-            !S.ok())
-          std::fprintf(stderr,
-                       "novasoak: warning: checkpoint failed: %s\n",
-                       S.message().c_str());
-        else
-          LastCkpt = Retired;
-        NextCkpt = (Retired / CK.Every + 1) * CK.Every;
-      }
-      if (NextProg && Retired >= NextProg) {
-        progressHeartbeat(Rep.Base.App, Retired, Clock.seconds(), LastCkpt);
-        NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
-      }
-      if (CK.KillAfter && Retired >= CK.KillAfter)
-        std::raise(SIGKILL);
-      return CK.StopAfter != 0 && Retired >= CK.StopAfter;
+      return CD.onRetired(Retired, Next);
     });
 
   Rep.Chip = C.run(Src, Retire);

@@ -9,7 +9,7 @@
 
 #include "apps/AppSources.h"
 #include "cps/Eval.h"
-#include "fastpath/FastPath.h"
+#include "fastpath/Segment.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <climits>
 #include <csignal>
+#include <optional>
 
 using namespace nova;
 using namespace nova::soak;
@@ -447,61 +448,50 @@ void soak::progressHeartbeat(const std::string &App, uint64_t Retired,
   std::fflush(stderr);
 }
 
-namespace {
+CkptDriver::CkptDriver(const CheckpointOptions &CK, ckpt::CheckpointMeta Meta,
+                       const SoakReport &Rep, const Timer &Clock,
+                       uint64_t Start,
+                       std::function<void(BinWriter &)> SaveExtra)
+    : CK(CK), Meta(std::move(Meta)), Rep(Rep), Clock(Clock),
+      SaveExtra(std::move(SaveExtra)) {
+  if (CK.Every)
+    NextCkpt = (Start / CK.Every + 1) * CK.Every;
+  if (CK.ProgressEvery)
+    NextProg = (Start / CK.ProgressEvery + 1) * CK.ProgressEvery;
+  LastCkpt = Start;
+}
 
-/// The per-stream checkpoint driver shared by the interp and threaded
-/// runners (ChipSoak has its own copy of this logic wired through the
-/// chip's retire hook). Owns the thresholds; returns true from
-/// onRetired when the run must stop (StopAfter crash simulation).
-struct CkptDriver {
-  const CheckpointOptions &CK;
-  ckpt::CheckpointMeta Meta;
-  const SoakReport &Rep;
-  const Timer &Clock;
-  uint64_t NextCkpt = 0, NextProg = 0, LastCkpt = 0;
-
-  CkptDriver(const CheckpointOptions &CK, ckpt::CheckpointMeta Meta,
-             const SoakReport &Rep, const Timer &Clock, uint64_t Start)
-      : CK(CK), Meta(std::move(Meta)), Rep(Rep), Clock(Clock) {
-    if (CK.Every)
-      NextCkpt = (Start / CK.Every + 1) * CK.Every;
-    if (CK.ProgressEvery)
-      NextProg = (Start / CK.ProgressEvery + 1) * CK.ProgressEvery;
-    LastCkpt = Start;
+bool CkptDriver::onRetired(uint64_t Retired, uint64_t Cursor) {
+  if (NextCkpt && Retired >= NextCkpt) {
+    BinWriter W;
+    saveSoakProgress(W, Rep, Cursor);
+    if (SaveExtra)
+      SaveExtra(W);
+    Meta.PacketsRetired = Retired;
+    if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes()); !S.ok())
+      std::fprintf(stderr, "novasoak: warning: checkpoint failed: %s\n",
+                   S.message().c_str());
+    else
+      LastCkpt = Retired;
+    NextCkpt = (Retired / CK.Every + 1) * CK.Every;
   }
-
-  bool onRetired(uint64_t Retired, uint64_t Cursor) {
-    if (NextCkpt && Retired >= NextCkpt) {
-      BinWriter W;
-      saveSoakProgress(W, Rep, Cursor);
-      Meta.PacketsRetired = Retired;
-      if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes());
-          !S.ok())
-        std::fprintf(stderr, "novasoak: warning: checkpoint failed: %s\n",
-                     S.message().c_str());
-      else
-        LastCkpt = Retired;
-      NextCkpt = (Retired / CK.Every + 1) * CK.Every;
-    }
-    if (NextProg && Retired >= NextProg) {
-      progressHeartbeat(Rep.App, Retired, Clock.seconds(), LastCkpt);
-      NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
-    }
-    if (CK.KillAfter && Retired >= CK.KillAfter) {
-      // The crash harness wants a real mid-run death, not a clean exit:
-      // nothing is flushed, no destructor runs, the checkpoint directory
-      // is whatever the last atomic rename left behind.
-      std::raise(SIGKILL);
-    }
-    return CK.StopAfter != 0 && Retired >= CK.StopAfter;
+  if (NextProg && Retired >= NextProg) {
+    progressHeartbeat(Rep.App, Retired, Clock.seconds(), LastCkpt);
+    NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
   }
-};
+  if (CK.KillAfter && Retired >= CK.KillAfter) {
+    // The crash harness wants a real mid-run death, not a clean exit:
+    // nothing is flushed, no destructor runs, the checkpoint directory
+    // is whatever the last atomic rename left behind.
+    std::raise(SIGKILL);
+  }
+  return CK.StopAfter != 0 && Retired >= CK.StopAfter;
+}
 
-/// Resumes \p Rep / \p Start from the newest valid snapshot in the
-/// checkpoint directory. False => hard failure recorded in
-/// Rep.CkptError (the caller returns the report untouched-but-failed).
-bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
-                SoakReport &Rep, uint64_t &Start) {
+bool soak::resumeSoak(const CheckpointOptions &CK,
+                      const ckpt::CheckpointMeta &Meta, SoakReport &Rep,
+                      uint64_t &Cursor, uint64_t &Retired,
+                      const std::function<void(BinReader &)> &RestoreExtra) {
   ckpt::LoadedCheckpoint LC;
   std::vector<std::string> Notes;
   Status S = ckpt::findLatestValid(CK.Dir, Meta, LC, &Notes);
@@ -513,7 +503,9 @@ bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
     return false;
   }
   BinReader R = LC.stateReader();
-  restoreSoakProgress(R, Rep, Start);
+  restoreSoakProgress(R, Rep, Cursor);
+  if (RestoreExtra)
+    RestoreExtra(R);
   if (R.failed() || R.remaining() != 0) {
     Rep.CkptError = Status::error(
         StatusCode::CheckpointCorrupt, Phase::Driver,
@@ -521,13 +513,12 @@ bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
     return false;
   }
   Rep.ResumedFrom = LC.Path;
+  Retired = LC.Meta.PacketsRetired;
   std::fprintf(stderr, "novasoak: resumed %s from %s (%llu retired)\n",
                Rep.App.c_str(), LC.Path.c_str(),
-               (unsigned long long)LC.Meta.PacketsRetired);
+               (unsigned long long)Retired);
   return true;
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Stream runner
@@ -535,151 +526,97 @@ bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
 
 namespace {
 
-/// Threaded mode: translate once, run batches on the fast path, sample
-/// the interpreter + functional + CPS oracles every OracleEvery'th
-/// packet. The sampled interpreter run doubles as the bit-exactness
-/// check on the fast path itself (fastMatches).
-SoakReport runSoakThreaded(const AppHarness &App, const SoakOptions &Opts) {
-  SoakReport Rep;
-  Rep.App = App.name();
-  Rep.Seed = Opts.Seed;
-  Rep.Exec = ExecMode::Threaded;
-  Rep.OracleEvery = Opts.OracleEvery;
-  Timer Clock;
-
-  const CheckpointOptions &CK = Opts.Ckpt;
-  ckpt::CheckpointMeta Meta = checkpointMeta(App, Opts);
-  uint64_t Start = 0;
-  if (CK.Resume && !resumeSoak(CK, Meta, Rep, Start))
-    return Rep;
-  CkptDriver CD(CK, Meta, Rep, Clock, Start);
-
-  Timer TranslateClock;
-  fastpath::Translated T =
-      fastpath::translate(App.compiled().Alloc.Prog, Opts.Lat);
-  fastpath::Engine Eng(T);
-  fastpath::BatchMemory BM(App.baseSim());
-  Rep.TranslateSeconds = TranslateClock.seconds();
-
+/// The threaded executor: the program translated once, one fast-path
+/// context and one journaled memory reused across packets.
+struct FastRunner {
+  fastpath::Translated T;
+  fastpath::SegmentContext Seg;
+  fastpath::BatchMemory BM;
   sim::RunOptions RO;
-  RO.Lat = Opts.Lat;
-  RO.MaxInstructions = Opts.Budget;
-  const bool Armed = FaultInjector::armed();
 
-  // Re-runs packet Q on both executions; true when anything disagrees
-  // (the 3-way oracle or the fast-vs-interpreter contract). Used for
-  // shrinking, so every run re-arms the injector first.
-  auto threadedDiverges = [&](const SoakPacket &Q) {
-    if (Armed)
+  FastRunner(const AppHarness &App, const SoakOptions &Opts)
+      : T(fastpath::translate(App.compiled().Alloc.Prog, Opts.Lat)), Seg(&T),
+        BM(App.baseSim()) {
+    RO.Lat = Opts.Lat;
+    RO.MaxInstructions = Opts.Budget;
+  }
+  FastRunner(const FastRunner &) = delete; // Seg points into T
+
+  /// Runs \p P from the base image, re-arming the injector first like
+  /// runPacket, so a sampled interpreter re-run replays the exact draw
+  /// sequence the fast path saw.
+  sim::RunResult run(const SoakPacket &P) {
+    if (FaultInjector::armed())
       FaultInjector::instance().rearm();
     BM.reset();
-    BM.storePacket(Q.Args.empty() ? 0 : Q.Args[0], Q.Words);
-    sim::RunResult QR = Eng.run(Q.Args, BM, RO);
-    PacketOutcome QO = runPacket(App, Q, Opts, /*WithOracle=*/true);
-    std::string QWhy;
-    return QO.Diverged || !fastMatches(QR, BM, QO, QWhy);
-  };
-
-  constexpr uint64_t BatchSize = 256;
-  std::vector<SoakPacket> Batch;
-  PacketTemplateCache Tmpl;
-  bool Stop = false;
-
-  // Resuming mid-stream is safe at any index: packet I is a pure
-  // function of (seed, I) and the oracle decision uses the absolute
-  // index, so batch alignment carries no state.
-  for (uint64_t Base = Start; Base < Opts.Packets && !Stop;
-       Base += BatchSize) {
-    const uint64_t N = std::min<uint64_t>(BatchSize, Opts.Packets - Base);
-    // Batch slots and their Words/Args buffers are reused across
-    // batches; only the first batch allocates.
-    App.generateBatch(Base, N, Opts.Seed, Opts.Mix, Tmpl, Batch);
-
-    for (uint64_t K = 0; K != N; ++K) {
-      const SoakPacket &P = Batch[K];
-      ++Rep.ClassCounts[static_cast<unsigned>(P.Class)];
-      if (Armed)
-        FaultInjector::instance().rearm();
-      BM.reset();
-      BM.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
-      sim::RunResult FR = Eng.run(P.Args, BM, RO);
-      Rep.Stats.account(FR, FR.Ok && App.isAppReject(FR.HaltValues),
-                        P.PayloadBytes);
-
-      bool WithOracle =
-          Opts.OracleEvery != 0 && (Base + K) % Opts.OracleEvery == 0;
-      if (WithOracle) {
-        ++Rep.OracleChecks;
-        // The oracle rerun re-arms the injector itself, so the
-        // interpreter replays the exact draw sequence the fast path saw.
-        PacketOutcome O = runPacket(App, P, Opts, /*WithOracle=*/true);
-        if (O.OracleBudgetMiss)
-          ++Rep.OracleBudgetMisses;
-        std::string Why;
-        if (!O.Diverged && !fastMatches(FR, BM, O, Why)) {
-          O.Diverged = true;
-          O.What = "fastpath vs interpreter: " + Why;
-        }
-        if (O.Diverged) {
-          ++Rep.Divergences;
-          if (!Rep.First.Found) {
-            Rep.First.Found = true;
-            Rep.First.Index = P.Index;
-            Rep.First.Seed = P.Seed;
-            Rep.First.Class = P.Class;
-            Rep.First.What = O.What;
-            Rep.First.Words = P.Words;
-            Rep.First.Args = P.Args;
-            Rep.First.ShrunkWords =
-                Opts.Shrink ? shrinkDivergenceWith(P, Rep.First.ShrinkRuns,
-                                                   threadedDiverges)
-                            : P.Words;
-          }
-          if (Opts.FailFast) {
-            Stop = true;
-            break;
-          }
-        }
-      }
-      // Snapshot/heartbeat only after the packet's accounting (and any
-      // oracle bookkeeping) has fully landed in Rep.
-      if (CD.onRetired(Base + K + 1, Base + K + 1)) {
-        Rep.Stopped = true;
-        Stop = true;
-        break;
-      }
-    }
+    BM.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
+    return Seg.run(P.Args, BM, RO);
   }
-  Rep.WallSeconds = Clock.seconds();
-  return Rep;
-}
+};
 
 } // namespace
 
 SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
-  if (Opts.Exec == ExecMode::Threaded)
-    return runSoakThreaded(App, Opts);
   SoakReport Rep;
   Rep.App = App.name();
   Rep.Seed = Opts.Seed;
-  Rep.Exec = ExecMode::Interp;
+  Rep.Exec = Opts.Exec;
   Rep.OracleEvery = Opts.OracleEvery;
   Timer Clock;
 
   const CheckpointOptions &CK = Opts.Ckpt;
   ckpt::CheckpointMeta Meta = checkpointMeta(App, Opts);
-  uint64_t Start = 0;
-  if (CK.Resume && !resumeSoak(CK, Meta, Rep, Start))
+  uint64_t Start = 0, Retired = 0;
+  if (CK.Resume && !resumeSoak(CK, Meta, Rep, Start, Retired))
     return Rep;
   CkptDriver CD(CK, Meta, Rep, Clock, Start);
 
+  // Threaded mode: translate once, run every packet on the fast path,
+  // and sample the interpreter + functional + CPS oracles every
+  // OracleEvery'th packet. The sampled interpreter run doubles as the
+  // bit-exactness check on the fast path itself (fastMatches).
+  std::optional<FastRunner> Fast;
+  if (Opts.Exec == ExecMode::Threaded) {
+    Timer TranslateClock;
+    Fast.emplace(App, Opts);
+    Rep.TranslateSeconds = TranslateClock.seconds();
+  }
+
+  // The only per-mode step: execute packet P, returning the result to
+  // account and, when WithOracle, the oracle's verdict.
+  auto execute = [&](const SoakPacket &P, bool WithOracle) {
+    if (!Fast)
+      return runPacket(App, P, Opts, WithOracle);
+    sim::RunResult FR = Fast->run(P);
+    PacketOutcome O;
+    if (WithOracle) {
+      O = runPacket(App, P, Opts, /*WithOracle=*/true);
+      std::string Why;
+      if (!O.Diverged && !fastMatches(FR, Fast->BM, O, Why)) {
+        O.Diverged = true;
+        O.What = "fastpath vs interpreter: " + Why;
+      }
+    }
+    O.AppReject = FR.Ok && App.isAppReject(FR.HaltValues);
+    O.Alloc = std::move(FR);
+    return O;
+  };
+  // Shrink predicate: re-runs a candidate packet on the same execution
+  // (threaded: both the fast path and the interpreter) with the oracle.
+  auto diverges = [&](const SoakPacket &Q) {
+    return execute(Q, /*WithOracle=*/true).Diverged;
+  };
+
+  // Resuming mid-stream is safe at any index: packet I is a pure
+  // function of (seed, I) and the oracle decision uses the absolute
+  // index.
   SoakPacket P;
   PacketTemplateCache Tmpl;
-  for (uint64_t I = Start; I != Opts.Packets; ++I) {
+  for (uint64_t I = Start; I < Opts.Packets; ++I) {
     App.generateInto(I, Opts.Seed, Opts.Mix, Tmpl, P);
     ++Rep.ClassCounts[static_cast<unsigned>(P.Class)];
     bool WithOracle = Opts.OracleEvery != 0 && I % Opts.OracleEvery == 0;
-    PacketOutcome O = runPacket(App, P, Opts, WithOracle);
+    PacketOutcome O = execute(P, WithOracle);
     Rep.Stats.account(O.Alloc, O.AppReject, P.PayloadBytes);
     if (WithOracle)
       ++Rep.OracleChecks;
@@ -697,12 +634,14 @@ SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
         Rep.First.Args = P.Args;
         Rep.First.ShrunkWords =
             Opts.Shrink
-                ? shrinkDivergence(App, P, Opts, Rep.First.ShrinkRuns)
+                ? shrinkDivergenceWith(P, Rep.First.ShrinkRuns, diverges)
                 : P.Words;
       }
       if (Opts.FailFast)
         break;
     }
+    // Snapshot/heartbeat only after the packet's accounting (and any
+    // oracle bookkeeping) has fully landed in Rep.
     if (CD.onRetired(I + 1, I + 1)) {
       Rep.Stopped = true;
       break;

@@ -43,6 +43,7 @@
 #include "cps/Eval.h"
 #include "driver/Compiler.h"
 #include "sim/Simulator.h"
+#include "support/Timer.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -104,7 +105,8 @@ struct PacketTemplateCache {
 /// How the soak stream executes allocated code.
 enum class ExecMode : uint8_t {
   Interp,  ///< sim::runAllocated per packet (the reference)
-  Threaded ///< fastpath::Engine batches with a sampled interpreter oracle
+  Threaded ///< fastpath::SegmentContext::run with a sampled interpreter
+           ///< oracle
 };
 const char *execModeName(ExecMode M);
 
@@ -132,10 +134,10 @@ struct SoakOptions {
   uint64_t Packets = 10'000;
   uint64_t Seed = 1;
   ClassMix Mix;
-  /// Threaded mode translates the program once and runs batches on the
-  /// fast path; every OracleEvery'th packet is re-run on the interpreter
-  /// (which must match the fast path bit-for-bit) plus the functional
-  /// and CPS oracles.
+  /// Threaded mode translates the program once and runs every packet on
+  /// the fast path; every OracleEvery'th packet is re-run on the
+  /// interpreter (which must match the fast path bit-for-bit) plus the
+  /// functional and CPS oracles.
   ExecMode Exec = ExecMode::Interp;
   /// Per-packet instruction watchdog for the allocated run; the
   /// functional oracle gets 4x and the CPS evaluator 64x (steps per
@@ -312,6 +314,42 @@ ckpt::CheckpointMeta checkpointMeta(const AppHarness &App,
 /// report exactly.
 void saveSoakProgress(BinWriter &W, const SoakReport &R, uint64_t Cursor);
 void restoreSoakProgress(BinReader &R, SoakReport &Rep, uint64_t &Cursor);
+
+/// The checkpoint cadence of a soak stream, shared by the standalone and
+/// chip runners: snapshots every CheckpointOptions::Every retired
+/// packets, progress heartbeats, and the KillAfter / StopAfter crash
+/// harness. A snapshot holds the soak progress (saveSoakProgress) then
+/// whatever \p SaveExtra appends (the chip's own state).
+class CkptDriver {
+public:
+  /// \p Start is the retired count the run starts from (0, or the
+  /// resumed snapshot's).
+  CkptDriver(const CheckpointOptions &CK, ckpt::CheckpointMeta Meta,
+             const SoakReport &Rep, const Timer &Clock, uint64_t Start,
+             std::function<void(BinWriter &)> SaveExtra = nullptr);
+
+  /// Call after each packet's accounting has landed in the report, with
+  /// the packets retired so far and the generator cursor to resume at.
+  /// Returns true when the run must stop (StopAfter crash simulation).
+  bool onRetired(uint64_t Retired, uint64_t Cursor);
+
+private:
+  const CheckpointOptions &CK;
+  ckpt::CheckpointMeta Meta;
+  const SoakReport &Rep;
+  const Timer &Clock;
+  std::function<void(BinWriter &)> SaveExtra;
+  uint64_t NextCkpt = 0, NextProg = 0, LastCkpt = 0;
+};
+
+/// Resumes \p Rep from the newest valid snapshot in CK.Dir: restores the
+/// soak progress, then hands the reader to \p RestoreExtra for the state
+/// CkptDriver's SaveExtra appended. Sets \p Cursor (the next packet
+/// index) and \p Retired (packets retired at the snapshot). False =>
+/// hard failure recorded in Rep.CkptError.
+bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
+                SoakReport &Rep, uint64_t &Cursor, uint64_t &Retired,
+                const std::function<void(BinReader &)> &RestoreExtra = {});
 
 /// Stderr heartbeat line for --progress: packets retired, rate, and the
 /// last durable checkpoint.

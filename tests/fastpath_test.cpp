@@ -11,10 +11,11 @@
 //  1. Hand-built hostile programs drive every trap path — illegal
 //     registers, fell-off-the-end, bad branch/jump targets, clone
 //     pseudos, invalid memory spaces, per-space range traps, watchdog
-//     exhaustion, strict shift traps — and both fast-path executors
-//     (the batch Engine and the resumable SegmentContext) must produce
-//     the same trap kind, message string, instruction count, and cycle
-//     count as the interpreter.
+//     exhaustion, strict shift traps — and both fast-path entry points
+//     (SegmentContext::run to completion on BatchMemory, and the
+//     resumable SegmentContext::resume) must produce the same trap kind,
+//     message string, instruction count, and cycle count as the
+//     interpreter.
 //
 //  2. Differential fuzz: the three benchmark apps (compiled once,
 //     cached in-process like soak_test) under 200+ adversarial stream
@@ -123,7 +124,7 @@ AllocatedProgram oneBlock(std::vector<AllocInstr> Instrs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-identical comparison: interpreter vs both fast-path executors
+// Bit-identical comparison: interpreter vs both fast-path entry points
 //===----------------------------------------------------------------------===//
 
 /// Runs \p T on a fastpath::SegmentContext over \p Mem, paying the flat
@@ -158,9 +159,10 @@ void expectSameResult(const sim::RunResult &Got, const sim::RunResult &Want) {
   EXPECT_EQ(Got.HaltValues, Want.HaltValues);
 }
 
-/// Runs \p P on the interpreter, the batch Engine and SegmentContext
-/// from \p Base and asserts full equality of the results and all three
-/// memory images. Returns the interpreter's result.
+/// Runs \p P on the interpreter, SegmentContext::run and
+/// SegmentContext::resume from \p Base and asserts full equality of the
+/// results and all three memory images. Returns the interpreter's
+/// result.
 sim::RunResult expectSame(const AllocatedProgram &P,
                           const std::vector<uint32_t> &Args,
                           const sim::Memory &Base, const sim::RunOptions &RO,
@@ -171,10 +173,10 @@ sim::RunResult expectSame(const AllocatedProgram &P,
 
   fastpath::Translated T = fastpath::translate(P, RO.Lat);
   {
-    SCOPED_TRACE("engine");
-    fastpath::Engine Eng(T);
+    SCOPED_TRACE("run");
+    fastpath::SegmentContext Seg(&T);
     fastpath::BatchMemory BM(Base);
-    expectSameResult(Eng.run(Args, BM, RO), IR);
+    expectSameResult(Seg.run(Args, BM, RO), IR);
     EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
     EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
     EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
@@ -223,10 +225,10 @@ TEST(FastPath, DeliversSimpleProgram) {
   expectSame(P, {35}, "add");
 
   fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
-  fastpath::Engine Eng(T);
+  fastpath::SegmentContext Seg(&T);
   sim::Memory Base;
   fastpath::BatchMemory BM(Base);
-  sim::RunResult R = Eng.run({35}, BM, sim::RunOptions());
+  sim::RunResult R = Seg.run({35}, BM, sim::RunOptions());
   ASSERT_TRUE(R.Ok);
   ASSERT_EQ(R.HaltValues.size(), 1u);
   EXPECT_EQ(R.HaltValues[0], 42u);
@@ -444,7 +446,7 @@ TEST(FastPath, SingleSourceAlu) {
   expectSame(P, {0x0F0F0F0F}, "not");
 }
 
-TEST(FastPath, EngineIsReusableAndDeterministic) {
+TEST(FastPath, RunIsReusableAndDeterministic) {
   AllocatedProgram P = oneBlock(
       {memRead(MemSpace::Sdram, AOperand::reg(loc(Bank::A, 0)),
                {loc(Bank::B, 0)}),
@@ -454,18 +456,18 @@ TEST(FastPath, EngineIsReusableAndDeterministic) {
                 {AOperand::reg(loc(Bank::B, 1))}),
        haltOf({AOperand::reg(loc(Bank::B, 1))})});
   fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
-  fastpath::Engine Eng(T);
+  fastpath::SegmentContext Seg(&T);
   sim::Memory Base;
   Base.Sdram[50] = 0x12345678;
   fastpath::BatchMemory BM(Base);
   sim::RunOptions RO;
 
-  sim::RunResult R1 = Eng.run({50}, BM, RO);
+  sim::RunResult R1 = Seg.run({50}, BM, RO);
   auto Img1 = BM.image(MemSpace::Sdram);
   BM.reset();
   // reset() must land back on the base image exactly.
   EXPECT_EQ(BM.image(MemSpace::Sdram), Base.Sdram);
-  sim::RunResult R2 = Eng.run({50}, BM, RO);
+  sim::RunResult R2 = Seg.run({50}, BM, RO);
   auto Img2 = BM.image(MemSpace::Sdram);
   EXPECT_EQ(R1.HaltValues, R2.HaltValues);
   EXPECT_EQ(R1.Cycles, R2.Cycles);
@@ -497,13 +499,14 @@ soak::AppHarness &harness(const std::string &Name) {
 }
 
 /// Streams \p Seeds adversarial stream seeds (x \p PerSeed packets)
-/// through four executions — superblock fast path, per-block-only fast
-/// path, SegmentContext (flat memory charges), interpreter — and requires
+/// through four executions — SegmentContext::run on the superblock and
+/// on the per-block-only translation, SegmentContext::resume (flat
+/// memory charges), interpreter — and requires
 /// bit-identical results and memory images from all of them. The
 /// per-block translation triangulates: a bug in superblock formation
 /// diverges from it, a bug in the shared decoding diverges from the
 /// interpreter. \p StrictShifts sets RunOptions::TrapOnShiftRange, which
-/// routes every block of both fast-path executors through the slow tier
+/// routes every block of both fast-path entry points through the slow tier
 /// (the interpreter's step function over the fast path's frame).
 void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed,
              bool StrictShifts = false) {
@@ -517,14 +520,14 @@ void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed,
 
   fastpath::Translated T = fastpath::translate(Prog, RO.Lat);
   EXPECT_GT(T.Superblocks, 0u) << Name;
-  fastpath::Engine Eng(T);
+  fastpath::SegmentContext Seg(&T);
   fastpath::BatchMemory BM(App.baseSim());
 
   fastpath::TranslateOptions NoSB;
   NoSB.Superblocks = false;
   fastpath::Translated TP = fastpath::translate(Prog, RO.Lat, NoSB);
   EXPECT_EQ(TP.Superblocks, 0u) << Name;
-  fastpath::Engine EngP(TP);
+  fastpath::SegmentContext SegP(&TP);
   fastpath::BatchMemory BMP(App.baseSim());
 
   unsigned Mismatches = 0;
@@ -541,10 +544,10 @@ void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed,
       const uint32_t Addr = P.Args.empty() ? 0 : P.Args[0];
       BM.reset();
       BM.storePacket(Addr, P.Words);
-      sim::RunResult FR = Eng.run(P.Args, BM, RO);
+      sim::RunResult FR = Seg.run(P.Args, BM, RO);
       BMP.reset();
       BMP.storePacket(Addr, P.Words);
-      sim::RunResult PR = EngP.run(P.Args, BMP, RO);
+      sim::RunResult PR = SegP.run(P.Args, BMP, RO);
       sim::Memory MS = App.baseSim();
       apps::storePacket(MS.Sdram, Addr, P.Words);
       sim::RunResult SR = runSegment(T, P.Args, MS, RO);
@@ -580,7 +583,7 @@ TEST(FastPathFuzz, Kasumi) { fuzzApp("kasumi", 210, 2); }
 TEST(FastPathFuzz, Nat) { fuzzApp("nat", 210, 2); }
 
 // The same streams with strict shifts on: every block of both fast-path
-// executors runs on the shared slow tier.
+// entry points runs on the shared slow tier.
 TEST(FastPathFuzz, AesSlowTier) { fuzzApp("aes", 210, 2, true); }
 TEST(FastPathFuzz, KasumiSlowTier) { fuzzApp("kasumi", 210, 2, true); }
 TEST(FastPathFuzz, NatSlowTier) { fuzzApp("nat", 210, 2, true); }

@@ -335,10 +335,11 @@ int main(int argc, char **argv) {
   // Chip-mode combination rules, enforced before any compile work: the
   // topology flags only mean something with --chip, and a single-shot
   // chip run cannot stop mid-stream. --exec threaded composes with
-  // --chip since segmented fast-path execution (fastpath::Segment) keeps
-  // the discrete-event schedule bit-identical; --inject-fault composes
-  // too — an armed injector pins execution to the interpreter-exact slow
-  // tier in both modes, so the retire-time oracle still catches flips.
+  // --chip since segmented fast-path execution (fastpath::SegmentContext)
+  // keeps the discrete-event schedule bit-identical; --inject-fault
+  // composes too — an armed injector pins execution to the
+  // interpreter-exact slow tier in both modes, so the retire-time oracle
+  // still catches flips (but see the checkpoint rule below).
   if (!ChipMode && (SawMeCount || SawContexts || SawRingDepth)) {
     std::fprintf(stderr, "novasoak: --me-count/--contexts/--ring-depth "
                          "require --chip\n");
@@ -348,6 +349,18 @@ int main(int argc, char **argv) {
   // schedule without --chip would be a silent no-op, so reject it.
   if (!ChipMode && SawFaultSchedule) {
     std::fprintf(stderr, "novasoak: --fault-schedule requires --chip\n");
+    P.Failed = true;
+  }
+  // On the chip the sim fault injector is armed once for the whole
+  // stream (standalone runs re-arm it per packet), and its state is not
+  // in the snapshot, so a resumed faulted chip run would silently differ
+  // from the uninterrupted one.
+  if (ChipMode && !Faults.empty() &&
+      (Opts.Ckpt.active() || Opts.Ckpt.KillAfter != 0)) {
+    std::fprintf(stderr,
+                 "novasoak: --inject-fault with --chip is incompatible with "
+                 "--checkpoint-every/--resume/--kill-after (the injector's "
+                 "state is not checkpointed)\n");
     P.Failed = true;
   }
   if (ChipMode && Opts.FailFast) {
