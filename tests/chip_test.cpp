@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //
 //  1. chip::Ring as a data structure: FIFO order through wraparound,
 //     high-water tracking, and the operation trace hash that lets two
@@ -18,14 +18,22 @@
 //     near-limit pointers, context-swap fairness (no context starves),
 //     ring blocking at depth 1, watchdog traps as drops, measurable
 //     channel contention, and bit-identical double runs.
+//  4. Pinned schedules: literal trace, image and recovery-fold values
+//     for small nat soaks across topologies, fault schedules and both
+//     execution models (nat is compiled through the ILP once per
+//     process).
 //
 //===----------------------------------------------------------------------===//
 
 #include "chip/Chip.h"
+#include "soak/ChipSoak.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <memory>
 
 using namespace nova;
 using namespace nova::alloc;
@@ -627,4 +635,134 @@ TEST(ChipRun, PerContextSpillWindowsDoNotCollide) {
     EXPECT_EQ(RP.Result.HaltValues[0], 0xC0DE0000u + RP.Pkt.Seq)
         << "spill slot collision on packet " << RP.Pkt.Seq;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned schedules
+//===----------------------------------------------------------------------===//
+//
+// Literal trace, image and recovery-fold values for small nat soaks over
+// the topology matrix, with and without an armed fault schedule, in both
+// execution models. Every other chip test compares one run against
+// another; these hold the schedule itself fixed, so a change to the
+// event kernel that reorders any two events fails here even when it
+// reorders them the same way in every run.
+
+namespace {
+
+/// Compiles nat once per process (ILP-bound; shared by the pin tests).
+soak::AppHarness &natHarness() {
+  static std::unique_ptr<soak::AppHarness> H = [] {
+    driver::CompileOptions Opts = soak::AppHarness::defaultCompileOptions();
+    Opts.Alloc.Mip.TimeLimitSeconds = 30.0;
+    std::string Error;
+    auto A = soak::AppHarness::create("nat", Error, Opts);
+    if (!A) {
+      ADD_FAILURE() << "compiling nat: " << Error;
+      std::abort();
+    }
+    return A;
+  }();
+  return *H;
+}
+
+struct PinCase {
+  unsigned Mes, Ctxs, RingDepth;
+  uint64_t Packets;
+  uint64_t Trace, Image, Recovery;
+};
+
+/// Recovery fold of an empty ledger: no schedule, nothing injected.
+constexpr uint64_t NoFaultsFold = 0x76a32a165b574577ull;
+
+/// Every chip fault kind the supervisor recovers from, at rates that
+/// fire several times in a 1-2k packet stream.
+const char *PinFaults =
+    "ctx-lockup@300,chan-brownout@500~4,ring-stall@400,dma-drop@250";
+
+void expectPinned(const PinCase &PC, bool WithFaults) {
+  for (chip::ExecModel Exec :
+       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
+    SCOPED_TRACE(formatf("%u MEs x %u ctxs, ring %u, %llu packets, %s",
+                         PC.Mes, PC.Ctxs, PC.RingDepth,
+                         (unsigned long long)PC.Packets,
+                         Exec == chip::ExecModel::Threaded ? "threaded"
+                                                           : "interp"));
+    soak::ChipSoakOptions O;
+    O.Base.Packets = PC.Packets;
+    O.Base.Seed = 42;
+    O.Base.OracleEvery = 0;
+    O.Base.Exec = Exec == chip::ExecModel::Threaded ? soak::ExecMode::Threaded
+                                                    : soak::ExecMode::Interp;
+    O.Chip.Exec = Exec;
+    O.Chip.MP.MeCount = PC.Mes;
+    O.Chip.MP.ContextsPerMe = PC.Ctxs;
+    O.Chip.RingDepth = PC.RingDepth;
+    if (WithFaults) {
+      std::string Error;
+      ASSERT_TRUE(parseFaultSchedule(PinFaults, O.Chip.Faults, Error))
+          << Error;
+    }
+    soak::ChipSoakReport R = soak::runChipSoak(natHarness(), O);
+    ASSERT_TRUE(R.Setup.ok()) << R.Setup.message();
+    EXPECT_FALSE(R.Chip.Deadlock);
+    EXPECT_EQ(R.Chip.PacketsRetired, PC.Packets);
+    // Entry traps are part of the default adversarial mix.
+    EXPECT_GT(R.Base.Stats.Drops, 0u);
+    if (WithFaults) {
+      const chip::RecoveryStats &RS = R.Chip.Recovery;
+      EXPECT_GT(RS.LockupsInjected, 0u);
+      EXPECT_GT(RS.BrownoutsInjected, 0u);
+      EXPECT_GT(RS.RingStallsInjected, 0u);
+      EXPECT_GT(RS.DmaFaultsInjected, 0u);
+      EXPECT_TRUE(RS.allAccounted());
+    }
+    EXPECT_EQ(R.Chip.TraceHash, PC.Trace)
+        << formatf("trace 0x%016llx", (unsigned long long)R.Chip.TraceHash);
+    EXPECT_EQ(R.ImageHash, PC.Image)
+        << formatf("image 0x%016llx", (unsigned long long)R.ImageHash);
+    EXPECT_EQ(R.Chip.Recovery.fold(), PC.Recovery)
+        << formatf("recovery 0x%016llx",
+                   (unsigned long long)R.Chip.Recovery.fold());
+  }
+}
+
+} // namespace
+
+TEST(ChipPins, FaultFreeSchedulesArePinned) {
+  const PinCase Cases[] = {
+      {1, 1, 1, 1000, 0x81c2377707499a0full,
+       0xd65545671eee74a6ull, NoFaultsFold},
+      {1, 8, 4, 1000, 0xb10938369829a05bull,
+       0xabb194737e0d5bf2ull, NoFaultsFold},
+      {2, 4, 1, 1500, 0x89e92bfbf569b36bull,
+       0xa772406ca3bcd269ull, NoFaultsFold},
+      {6, 4, 4, 2000, 0xead7f4bc8a64ca87ull,
+       0xc8882d2b2898a033ull, NoFaultsFold},
+      {6, 8, 1, 2000, 0xcb1a8bbdad60018aull,
+       0x1ce97640ff402f57ull, NoFaultsFold},
+      {8, 1, 4, 1500, 0x0c9451d5b2089179ull,
+       0x7fad8ff87f9317b0ull, NoFaultsFold},
+  };
+  for (const PinCase &PC : Cases)
+    expectPinned(PC, /*WithFaults=*/false);
+}
+
+TEST(ChipPins, FaultedSchedulesArePinned) {
+  const PinCase Cases[] = {
+      {1, 4, 4, 1000, 0xe0a95573145134c0ull,
+       0xa63489a66724f83cull, 0x291c4cf1f367a38cull},
+      {2, 8, 4, 1500, 0x614ff4233715d7d4ull,
+       0x3da073ac1a8edbb0ull, 0x7183b80a8d9ac6f9ull},
+      {2, 1, 1, 1000, 0x32e40ada1bf4fbbeull,
+       0xb2407bdc67b22fd0ull, 0x869dd707ee1fd321ull},
+      {6, 4, 4, 2000, 0x583ddeae0a37ecafull,
+       0x70c05f26d22f6342ull, 0x8ac51f5fd1a6bbd3ull},
+      {8, 8, 1, 2000, 0xfb99daa06360eb63ull,
+       0xe50353e329f318e8ull, 0x7d40d94058e0f8c1ull},
+      {8, 4, 4, 1500, 0x5a8404ad78c1d021ull,
+       0x7559553c195c3d31ull, 0x603a918e34cdbca7ull},
+  };
+  for (const PinCase &PC : Cases)
+    expectPinned(PC, /*WithFaults=*/true);
 }
