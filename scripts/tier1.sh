@@ -222,13 +222,20 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test cps_test soak_test
+  chip_fault_test checkpoint_test wordmap_test cps_test soak_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The supervisor's abort/restart path frees and rebuilds per-packet
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.
 timeout 300 "$SAN_BUILD/tests/chip_fault_test"
+# Snapshot restore decodes untrusted bytes into the event queue, the
+# contexts' cached in-flight records and the memory pages: a payload
+# that passes its checksum but indexes out of range must fail typed,
+# not read or write out of bounds. The word-wide slot scrub masks
+# presence words at both ends of every range.
+timeout 900 "$SAN_BUILD/tests/checkpoint_test"
+timeout 120 "$SAN_BUILD/tests/wordmap_test"
 # LeakSanitizer on the CPS reference evaluator and the soak oracle that
 # calls it per packet: an environment frame that keeps itself alive
 # (a closure capturing its own frame) leaks on every oracle call.

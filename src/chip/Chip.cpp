@@ -5,9 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Event-driven kernel. Everything runs on one OS thread off a priority
-// queue ordered by (time, insertion order), so a run is a deterministic
-// function of (params, programs, base memory, packet stream). The moving
+// Event-driven kernel. Everything runs on one OS thread off one event
+// queue popped in (time, insertion order) order, so a run is a
+// deterministic function of (params, programs, base memory, packet
+// stream). The queue is an exact cycle-bucketed calendar queue
+// (EventQueue below); snapshots store its events sorted. The moving
 // parts:
 //
 //   RX agent      pulls packets from the source, allocates an SDRAM slot,
@@ -42,7 +44,6 @@
 #include <cassert>
 #include <deque>
 #include <map>
-#include <queue>
 #include <set>
 
 using namespace nova;
@@ -158,15 +159,39 @@ enum class Ev : uint8_t {
   BrownoutEnd, ///< SDRAM issue bandwidth recovers
   RingUnstall  ///< a ring-stall window ended; wake parked producers
 };
+constexpr unsigned NumEvKinds = static_cast<unsigned>(Ev::RingUnstall) + 1;
+static_assert(NumEvKinds == KernelStats::NumKinds, "one counter per kind");
 
+/// Kinds whose payload is a 64-bit word (RX generation, TX sequence)
+/// rather than an (ME, context) pair.
+constexpr bool carriesWord(Ev K) {
+  return K == Ev::RxStep || K == Ev::TxPopDone;
+}
+
+/// One pending event in 24 bytes. The kind and its operands share one
+/// word: bits 0-2 hold the kind; a word-carrying kind keeps its operand
+/// in bits 3-63 (an RX generation or packet sequence number, far below
+/// 2^61 in any run), every other kind its ME (bits 3-6; a ring id may be
+/// MeCount) and context (bits 7-9).
 struct Event {
   uint64_t Time = 0;
   uint64_t Order = 0; ///< insertion order: total determinism on time ties
-  Ev K = Ev::MeRun;
-  unsigned Me = 0;
-  unsigned Ctx = 0;
-  uint64_t A = 0;
+  uint64_t Bits = 0;
+
+  static constexpr uint64_t WordLimit = 1ull << 61;
+
+  static Event make(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
+                    unsigned Ctx, uint64_t A) {
+    uint64_t Ops = carriesWord(K) ? A << 3
+                                  : uint64_t(Me) << 3 | uint64_t(Ctx) << 7;
+    return {Time, Order, Ops | static_cast<uint64_t>(K)};
+  }
+  Ev kind() const { return static_cast<Ev>(Bits & 7); }
+  unsigned me() const { return carriesWord(kind()) ? 0 : (Bits >> 3) & 15; }
+  unsigned ctx() const { return carriesWord(kind()) ? 0 : (Bits >> 7) & 7; }
+  uint64_t word() const { return carriesWord(kind()) ? Bits >> 3 : 0; }
 };
+static_assert(sizeof(Event) == 24, "Event must stay packed");
 
 struct EventAfter {
   bool operator()(const Event &X, const Event &Y) const {
@@ -174,6 +199,148 @@ struct EventAfter {
       return X.Time > Y.Time;
     return X.Order > Y.Order;
   }
+};
+
+/// The chip's pending events, popped in (Time, Order) order: an exact
+/// calendar queue (R. Brown, CACM 1988) with one bucket per cycle.
+///
+/// Events less than WheelSize cycles ahead of the last pop go to the
+/// bucket of their cycle on a power-of-two wheel; a two-level bitmap
+/// finds the next non-empty bucket in O(1). Later events wait in a small
+/// binary heap. The order is exact with no tie-break reasoning: Order is
+/// a global push counter and nothing is scheduled before the current
+/// time, so appending keeps every bucket in Order order, and every wheel
+/// event lies in [Now, Now + WheelSize) so one bucket holds one cycle.
+/// pop() takes the earlier of the first bucket's head and the heap's top
+/// by (Time, Order); an event that entered the heap before its cycle
+/// came within reach has the lower Order of any tie.
+class EventQueue {
+  static constexpr unsigned WheelBits = 12;
+  static constexpr uint32_t WheelSize = 1u << WheelBits; ///< cycles
+  static constexpr uint32_t WheelMask = WheelSize - 1;
+  static constexpr uint32_t None = ~0u;
+  static_assert(WheelSize == 64 * 64, "one summary word covers the wheel");
+
+  /// Bucket FIFOs are singly linked lists threaded through one node
+  /// pool, so the footprint is the wheel plus the peak pending count.
+  struct Node {
+    Event E;
+    uint32_t Next;
+  };
+  struct Bucket {
+    uint32_t Head = None, Tail = None;
+  };
+
+public:
+  bool empty() const { return Size == 0; }
+  size_t size() const { return Size; }
+
+  void push(const Event &E) {
+    assert(E.Time >= Now && "event scheduled in the past");
+    ++Size;
+    if (E.Time - Now >= WheelSize) {
+      Far.push_back(E);
+      std::push_heap(Far.begin(), Far.end(), EventAfter());
+      return;
+    }
+    uint32_t N = FreeHead;
+    if (N != None) {
+      FreeHead = Pool[N].Next;
+      Pool[N] = {E, None};
+    } else {
+      N = static_cast<uint32_t>(Pool.size());
+      Pool.push_back({E, None});
+    }
+    uint32_t B = static_cast<uint32_t>(E.Time) & WheelMask;
+    Bucket &Bk = Wheel[B];
+    if (Bk.Head == None) {
+      Bk.Head = N;
+      Occupied[B >> 6] |= 1ull << (B & 63);
+      Summary |= 1ull << (B >> 6);
+    } else {
+      Pool[Bk.Tail].Next = N;
+    }
+    Bk.Tail = N;
+  }
+
+  Event pop() {
+    assert(Size && "pop from an empty event queue");
+    --Size;
+    uint32_t B = Summary ? firstBucket() : None;
+    if (B == None ||
+        (!Far.empty() && EventAfter()(Pool[Wheel[B].Head].E, Far.front()))) {
+      std::pop_heap(Far.begin(), Far.end(), EventAfter());
+      Event E = Far.back();
+      Far.pop_back();
+      Now = E.Time;
+      return E;
+    }
+    Bucket &Bk = Wheel[B];
+    uint32_t N = Bk.Head;
+    Event E = Pool[N].E;
+    Bk.Head = Pool[N].Next;
+    if (Bk.Head == None) {
+      Bk.Tail = None;
+      uint64_t &W = Occupied[B >> 6];
+      W &= ~(1ull << (B & 63));
+      if (!W)
+        Summary &= ~(1ull << (B >> 6));
+    }
+    Pool[N].Next = FreeHead;
+    FreeHead = N;
+    Now = E.Time;
+    return E;
+  }
+
+  /// Every pending event in pop order (checkpoint save).
+  std::vector<Event> sorted() const {
+    std::vector<Event> Out(Far);
+    for (const Bucket &Bk : Wheel)
+      for (uint32_t N = Bk.Head; N != None; N = Pool[N].Next)
+        Out.push_back(Pool[N].E);
+    std::sort(Out.begin(), Out.end(), before);
+    return Out;
+  }
+
+  /// Replaces the contents with \p Evs at current time \p T (checkpoint
+  /// restore). Every event must be at or after \p T; any order is
+  /// accepted, since the events are sorted before they are queued.
+  void assign(std::vector<Event> Evs, uint64_t T) {
+    *this = EventQueue();
+    Now = T;
+    std::sort(Evs.begin(), Evs.end(), before);
+    for (const Event &E : Evs)
+      push(E);
+  }
+
+private:
+  static bool before(const Event &X, const Event &Y) {
+    return EventAfter()(Y, X);
+  }
+
+  /// The non-empty bucket whose cycle comes first, scanning the wheel
+  /// circularly from Now's bucket. Requires Summary != 0.
+  uint32_t firstBucket() const {
+    uint32_t P = static_cast<uint32_t>(Now) & WheelMask;
+    uint32_t WI = P >> 6;
+    if (uint64_t Bits = Occupied[WI] & (~0ull << (P & 63)))
+      return WI << 6 | static_cast<uint32_t>(__builtin_ctzll(Bits));
+    uint64_t Later = WI == 63 ? 0 : Summary & (~0ull << (WI + 1));
+    // Nothing later in this lap: wrap around to the lowest word (which
+    // may be WI itself, holding only buckets below P).
+    uint32_t W =
+        static_cast<uint32_t>(__builtin_ctzll(Later ? Later : Summary));
+    return W << 6 | static_cast<uint32_t>(__builtin_ctzll(Occupied[W]));
+  }
+
+  Bucket Wheel[WheelSize];
+  uint64_t Occupied[WheelSize / 64] = {};
+  uint64_t Summary = 0; ///< bit w: Occupied[w] != 0
+  std::vector<Node> Pool;
+  uint32_t FreeHead = None;
+  std::vector<Event> Far; ///< min-heap under EventAfter
+  uint64_t Now = 0;       ///< time of the last pop
+  size_t Size = 0;
 };
 
 /// Where a context is in its packet loop (each context has at most one
@@ -193,6 +360,27 @@ enum class CtxPh : uint8_t {
   RestartWait ///< aborted by the supervisor; CtxRestart pending (backoff)
 };
 
+struct InFlightRec {
+  ChipPacket Pkt;
+  std::vector<uint32_t> RebasedArgs;
+  sim::RunResult Result;
+  unsigned Me = 0, Ctx = 0;
+  bool Tail = false;
+  uint32_t SlotIdx = 0;
+  uint32_t SlotBase = 0;
+  uint64_t DispatchTime = 0;
+  uint64_t CompleteTime = 0;
+  /// Quarantine image for a tail packet: a private copy of the pristine
+  /// base memory. Null for slotted packets (they run on shared memory).
+  std::unique_ptr<sim::Memory> PrivMem;
+  // Fault-injection state (all inert when no schedule is armed).
+  unsigned Attempts = 1;        ///< execution attempts started
+  unsigned PlannedLockups = 0;  ///< attempts fated to wedge
+  bool SdramFlip = false;       ///< corrupt one slot word after DMA
+  bool Wedged = false;          ///< wedged at least once
+  DropReason Drop = DropReason::None;
+};
+
 /// One hardware context: either a resumable interpreter or a resumable
 /// fast-path segment executor, behind the same yield contract. Which one
 /// is live is a chip-wide choice (ChipParams::Exec), so a plain bool
@@ -204,6 +392,11 @@ struct HwCtx {
   CtxPh Ph = CtxPh::ParkedRing;
   uint64_t CurSeq = 0;
   uint64_t WedgeTime = 0; ///< when the lost completion was issued
+  /// InFlight[CurSeq], cached when the context pops the packet's
+  /// descriptor (std::map nodes stay put until TX pop erases them).
+  /// Live in every phase from PopWait through RestartWait that reaches
+  /// the ME; stale once the packet is on the TX ring.
+  InFlightRec *Rec = nullptr;
 
   void reset(const std::vector<uint32_t> &Args) {
     Threaded ? Seg.reset(Args) : Exec.reset(Args);
@@ -227,27 +420,6 @@ struct MeState {
   uint64_t Busy = 0;
   std::deque<unsigned> Ready;
   std::vector<HwCtx> Ctx;
-};
-
-struct InFlightRec {
-  ChipPacket Pkt;
-  std::vector<uint32_t> RebasedArgs;
-  sim::RunResult Result;
-  unsigned Me = 0, Ctx = 0;
-  bool Tail = false;
-  uint32_t SlotIdx = 0;
-  uint32_t SlotBase = 0;
-  uint64_t DispatchTime = 0;
-  uint64_t CompleteTime = 0;
-  /// Quarantine image for a tail packet: a private copy of the pristine
-  /// base memory. Null for slotted packets (they run on shared memory).
-  std::unique_ptr<sim::Memory> PrivMem;
-  // Fault-injection state (all inert when no schedule is armed).
-  unsigned Attempts = 1;        ///< execution attempts started
-  unsigned PlannedLockups = 0;  ///< attempts fated to wedge
-  bool SdramFlip = false;       ///< corrupt one slot word after DMA
-  bool Wedged = false;          ///< wedged at least once
-  DropReason Drop = DropReason::None;
 };
 
 enum class RxPh : uint8_t { Dispatch, Push };
@@ -404,15 +576,7 @@ struct Chip::Impl {
   bool RxStuck = false;          ///< parked on uniformly-full rings
   uint64_t RxStuckSince = 0;
 
-  /// The event queue with its container exposed: the heap vector is a
-  /// deterministic function of the run and is a valid heap verbatim, so
-  /// checkpointing saves and restores it as-is.
-  struct ExposedQ
-      : std::priority_queue<Event, std::vector<Event>, EventAfter> {
-    std::vector<Event> &raw() { return c; }
-    const std::vector<Event> &raw() const { return c; }
-  };
-  ExposedQ Q;
+  EventQueue Q;
   uint64_t OrderCtr = 0;
   uint64_t LastTime = 0;
   bool Ran = false;
@@ -498,7 +662,10 @@ struct Chip::Impl {
 
   void sched(uint64_t T, Ev K, unsigned Me = 0, unsigned Ctx = 0,
              uint64_t A = 0) {
-    Q.push({T, ++OrderCtr, K, Me, Ctx, A});
+    assert(A < Event::WordLimit && "event operand overflows its 61 bits");
+    Q.push(Event::make(T, ++OrderCtr, K, Me, Ctx, A));
+    ++St.Kernel.Pushes;
+    St.Kernel.PeakPending = std::max<uint64_t>(St.Kernel.PeakPending, Q.size());
   }
 
   Channel &chan(MemSpace S) {
@@ -769,6 +936,7 @@ struct Chip::Impl {
       return;
     }
     Cx.CurSeq = Rg.pop(T);
+    Cx.Rec = &InFlight.at(Cx.CurSeq);
     wakeRxIfRingFreed(Me, T);
     Cx.Ph = CtxPh::PopWait;
     sched(ScratchCh.submit(T), Ev::CtxResume, Me, C);
@@ -819,13 +987,15 @@ struct Chip::Impl {
 
   void onMeRun(unsigned Me, uint64_t T) {
     MeState &M = Mes[Me];
-    if (M.FreeAt > T || M.Ready.empty())
+    if (M.FreeAt > T || M.Ready.empty()) {
+      ++St.Kernel.NoopMeRuns;
       return; // still busy, or a duplicate wakeup already served
+    }
     unsigned C = M.Ready.front();
     M.Ready.pop_front();
     HwCtx &Cx = M.Ctx[C];
 
-    InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+    InFlightRec &Rec = *Cx.Rec;
     if (Cx.Ph == CtxPh::StartReady) {
       Rec.Me = Me;
       Rec.Ctx = C;
@@ -947,6 +1117,7 @@ struct Chip::Impl {
       InFlightRec Rec = std::move(Reorder.begin()->second);
       Reorder.erase(Reorder.begin());
       ++St.PacketsRetired;
+      ++St.Kernel.Retired;
       RetireFold = traceFold(RetireFold, NextRetire);
       RetireFold = traceFold(RetireFold, T);
       ++NextRetire;
@@ -990,7 +1161,7 @@ struct Chip::Impl {
         ++RS.LockupsDetected;
         Cx.abort();
         ++RS.CtxResets;
-        InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+        InFlightRec &Rec = *Cx.Rec;
         if (Rec.Attempts - 1 >= C.MaxRetries) {
           // Retries exhausted: declare the packet dead and push the
           // typed drop through the normal TX path so retirement stays
@@ -1055,7 +1226,7 @@ struct Chip::Impl {
   void onCtxRestart(unsigned Me, unsigned C, uint64_t T) {
     HwCtx &Cx = Mes[Me].Ctx[C];
     assert(Cx.Ph == CtxPh::RestartWait && "CtxRestart in unexpected phase");
-    InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+    InFlightRec &Rec = *Cx.Rec;
     ++Rec.Attempts;
     if (Rec.Tail)
       Rec.PrivMem = std::make_unique<sim::Memory>(BaseImage);
@@ -1156,15 +1327,18 @@ struct Chip::Impl {
     W.b(RxStuck);
     W.u64(RxStuckSince);
     Mem.saveState(W);
-    const std::vector<Event> &H = Q.raw();
-    W.u64(H.size());
-    for (const Event &E : H) {
+    // Pending events in (Time, Order) order. A sorted array is also a
+    // valid heap under EventAfter, the layout earlier builds restore
+    // verbatim into their binary heap.
+    std::vector<Event> Pending = Q.sorted();
+    W.u64(Pending.size());
+    for (const Event &E : Pending) {
       W.u64(E.Time);
       W.u64(E.Order);
-      W.u8(static_cast<uint8_t>(E.K));
-      W.u32(E.Me);
-      W.u32(E.Ctx);
-      W.u64(E.A);
+      W.u8(static_cast<uint8_t>(E.kind()));
+      W.u32(E.me());
+      W.u32(E.ctx());
+      W.u64(E.word());
     }
     W.u64(OrderCtr);
     W.u64(LastTime);
@@ -1184,6 +1358,22 @@ struct Chip::Impl {
     W.u64(RetireFold);
   }
 
+  /// Reads a context index, latching \p R 's failure (and yielding 0)
+  /// when it is out of range.
+  unsigned readCtxIndex(BinReader &R) const {
+    uint32_t C = R.u32();
+    if (C < P.MP.ContextsPerMe)
+      return C;
+    R.fail();
+    return 0;
+  }
+
+  // Rejects, through R.fail(), a checksum-valid payload that would index
+  // out of range or break the event queue's invariants once run: events
+  // of unknown kind or with out-of-range operands, events before
+  // LastTime or numbered above OrderCtr, out-of-range ready, consumer
+  // and producer entries, and contexts whose phase needs a packet that
+  // is not in flight.
   void restoreState(BinReader &R) {
     restoreChannel(R, SramCh);
     restoreChannel(R, SdramCh);
@@ -1194,16 +1384,23 @@ struct Chip::Impl {
       M.Ready.clear();
       uint32_t NR = R.u32();
       for (uint32_t I = 0; I != NR && !R.failed(); ++I)
-        M.Ready.push_back(R.u32());
+        M.Ready.push_back(readCtxIndex(R));
       for (HwCtx &Cx : M.Ctx) {
         if (Cx.Threaded)
           Cx.Seg.restoreState(R);
         else
           Cx.Exec.restoreState(R);
-        Cx.Ph = static_cast<CtxPh>(R.u8());
+        uint8_t Ph = R.u8();
+        if (Ph > static_cast<uint8_t>(CtxPh::RestartWait))
+          R.fail();
+        Cx.Ph = R.failed() ? CtxPh::ParkedRing : static_cast<CtxPh>(Ph);
         Cx.CurSeq = R.u64();
         Cx.WedgeTime = R.u64();
       }
+      // Only a context waiting for the engine may sit in its ready queue.
+      for (unsigned C : M.Ready)
+        if (M.Ctx[C].Ph != CtxPh::StartReady && M.Ctx[C].Ph != CtxPh::RunReady)
+          R.fail();
     }
     for (Ring &Rg : In)
       Rg.restoreState(R);
@@ -1211,7 +1408,7 @@ struct Chip::Impl {
       D.clear();
       uint32_t N = R.u32();
       for (uint32_t I = 0; I != N && !R.failed(); ++I)
-        D.push_back(R.u32());
+        D.push_back(readCtxIndex(R));
     }
     Tx.restoreState(R);
     TxIdle = R.b();
@@ -1219,8 +1416,10 @@ struct Chip::Impl {
     uint32_t NTx = R.u32();
     for (uint32_t I = 0; I != NTx && !R.failed(); ++I) {
       unsigned M = R.u32();
-      unsigned C = R.u32();
-      TxProducers.emplace_back(M, C);
+      if (M >= P.MP.MeCount)
+        R.fail();
+      unsigned C = readCtxIndex(R);
+      TxProducers.emplace_back(R.failed() ? 0 : M, C);
     }
     restoreRecMap(R, InFlight);
     restoreRecMap(R, Reorder);
@@ -1246,20 +1445,30 @@ struct Chip::Impl {
     RxStuck = R.b();
     RxStuckSince = R.u64();
     Mem.restoreState(R);
-    Q.raw().clear();
+    std::vector<Event> Pending;
     uint64_t NQ = R.u64();
+    if (NQ > R.remaining() / 33)
+      R.fail(); // fewer bytes left than NQ event records need
     for (uint64_t I = 0; I != NQ && !R.failed(); ++I) {
-      Event E;
-      E.Time = R.u64();
-      E.Order = R.u64();
-      E.K = static_cast<Ev>(R.u8());
-      E.Me = R.u32();
-      E.Ctx = R.u32();
-      E.A = R.u64();
-      Q.raw().push_back(E);
+      uint64_t Time = R.u64();
+      uint64_t Order = R.u64();
+      uint8_t K = R.u8();
+      uint32_t Me = R.u32();
+      uint32_t Ctx = R.u32();
+      uint64_t A = R.u64();
+      if (!validEvent(K, Me, Ctx, A)) {
+        R.fail();
+        break;
+      }
+      Pending.push_back(
+          Event::make(Time, Order, static_cast<Ev>(K), Me, Ctx, A));
     }
     OrderCtr = R.u64();
     LastTime = R.u64();
+    for (const Event &E : Pending)
+      if (E.Time < LastTime || E.Order > OrderCtr ||
+          (E.kind() == Ev::TxPopDone && !InFlight.count(E.word())))
+        R.fail();
     St.PacketsDispatched = R.u64();
     St.PacketsRetired = R.u64();
     St.TailPackets = R.u64();
@@ -1271,8 +1480,48 @@ struct Chip::Impl {
     St.ReorderHighWater = R.u32();
     St.RxDmaTransactions = R.u64();
     RetireFold = R.u64();
+    if (!R.failed())
+      Q.assign(std::move(Pending), LastTime);
+    // Re-derive the cached records; a context whose phase dereferences
+    // one must have its packet in flight.
+    for (MeState &M : Mes)
+      for (HwCtx &Cx : M.Ctx) {
+        auto It = InFlight.find(Cx.CurSeq);
+        Cx.Rec = It == InFlight.end() ? nullptr : &It->second;
+        if (!Cx.Rec && needsRec(Cx.Ph))
+          R.fail();
+      }
     LastHookRetired = St.PacketsRetired;
     Restored = true;
+  }
+
+  /// An event record as saveState writes it: a known kind, ME and
+  /// context in range (a RingUnstall's ring id may be MeCount, the TX
+  /// ring), and only the operands the kind carries.
+  bool validEvent(uint8_t K, uint32_t Me, uint32_t Ctx, uint64_t A) const {
+    if (K >= NumEvKinds)
+      return false;
+    Ev Kind = static_cast<Ev>(K);
+    if (carriesWord(Kind))
+      return Me == 0 && Ctx == 0 && A < Event::WordLimit;
+    uint32_t MeBound =
+        Kind == Ev::RingUnstall ? P.MP.MeCount + 1 : P.MP.MeCount;
+    return A == 0 && Me < MeBound && Ctx < P.MP.ContextsPerMe;
+  }
+
+  /// Phases whose next step reads the context's in-flight record.
+  static bool needsRec(CtxPh Ph) {
+    switch (Ph) {
+    case CtxPh::PopWait:
+    case CtxPh::StartReady:
+    case CtxPh::RunReady:
+    case CtxPh::MemWait:
+    case CtxPh::Wedged:
+    case CtxPh::RestartWait:
+      return true;
+    default:
+      return false;
+    }
   }
 
   //===--- Event loop ------------------------------------------------------===//
@@ -1289,33 +1538,33 @@ struct Chip::Impl {
     }
 
     while (!Q.empty()) {
-      Event E = Q.top();
-      Q.pop();
-      LastTime = std::max(LastTime, E.Time);
-      switch (E.K) {
+      Event E = Q.pop();
+      LastTime = E.Time; // pops never go back in time
+      ++St.Kernel.Handled[static_cast<unsigned>(E.kind())];
+      switch (E.kind()) {
       case Ev::MeRun:
-        onMeRun(E.Me, E.Time);
+        onMeRun(E.me(), E.Time);
         break;
       case Ev::CtxResume:
-        onCtxResume(E.Me, E.Ctx, E.Time);
+        onCtxResume(E.me(), E.ctx(), E.Time);
         break;
       case Ev::RxStep:
-        rxStep(E.Time, E.A);
+        rxStep(E.Time, E.word());
         break;
       case Ev::TxPopDone:
-        onTxPopDone(E.A, E.Time);
+        onTxPopDone(E.word(), E.Time);
         break;
       case Ev::SupTick:
         onSupTick(E.Time);
         break;
       case Ev::CtxRestart:
-        onCtxRestart(E.Me, E.Ctx, E.Time);
+        onCtxRestart(E.me(), E.ctx(), E.Time);
         break;
       case Ev::BrownoutEnd:
         onBrownoutEnd();
         break;
       case Ev::RingUnstall:
-        onRingUnstall(E.Me, E.Time);
+        onRingUnstall(E.me(), E.Time);
         break;
       }
       if (Hook && St.PacketsRetired != LastHookRetired) {
@@ -1357,6 +1606,13 @@ struct Chip::Impl {
 //===----------------------------------------------------------------------===//
 // Public surface
 //===----------------------------------------------------------------------===//
+
+const char *KernelStats::kindName(unsigned K) {
+  static const char *const Names[NumKinds] = {
+      "me_run",  "ctx_resume",  "rx_step",      "tx_pop_done",
+      "sup_tick", "ctx_restart", "brownout_end", "ring_unstall"};
+  return K < NumKinds ? Names[K] : "unknown";
+}
 
 Chip::Chip(const ChipParams &P,
            std::vector<const alloc::AllocatedProgram *> ProgramPerMe,

@@ -16,10 +16,11 @@
 /// cross-engine memory contention is a measured quantity (stall cycles),
 /// not an assumption.
 ///
-/// The simulation is discrete-event on a single OS thread: a priority
-/// queue ordered by (time, insertion sequence) makes every run with the
-/// same inputs bit-identical — same RunStats, same ring traces, same
-/// final SDRAM image. Context swap is non-preemptive and happens only at
+/// The simulation is discrete-event on a single OS thread: events pop in
+/// (time, insertion sequence) order — from a cycle-bucketed calendar
+/// queue, exact by construction — so every run with the same inputs is
+/// bit-identical: same RunStats, same ring traces, same final SDRAM
+/// image. Context swap is non-preemptive and happens only at
 /// memory references (the IXP1200's actual swap points); each ME serves
 /// its runnable contexts in FIFO order, so a context parked on a long
 /// SDRAM access re-enters at the queue tail and cannot starve.
@@ -163,8 +164,28 @@ struct RingStats {
   uint64_t TraceHash = 0;
 };
 
-/// Whole-run accounting. Every field is deterministic for a given
-/// (programs, base memory, packet stream, params).
+/// Event-kernel work done by one run() call: host-side counters, like
+/// wall time. A resumed run counts only its own events, so they are not
+/// in snapshots and novasoak zeroes them under --stable-json.
+struct KernelStats {
+  static constexpr unsigned NumKinds = 8;
+  /// Event kind names, in Handled[] order (JSON keys).
+  static const char *kindName(unsigned K);
+  uint64_t Handled[NumKinds] = {}; ///< events popped, by kind
+  /// MeRun wakeups that found the engine still busy or nothing ready
+  /// (a context's resume and the engine's own wake both schedule one).
+  uint64_t NoopMeRuns = 0;
+  uint64_t Pushes = 0;       ///< events scheduled
+  uint64_t PeakPending = 0;  ///< most events queued at once
+  uint64_t Retired = 0;      ///< packets this run() retired
+
+  double pushesPerRetired() const {
+    return Retired ? double(Pushes) / double(Retired) : 0.0;
+  }
+};
+
+/// Whole-run accounting. Every field except Kernel is deterministic for
+/// a given (programs, base memory, packet stream, params).
 struct ChipRunStats {
   uint64_t FinalCycles = 0; ///< chip time of the last event processed
   uint64_t PacketsDispatched = 0;
@@ -189,6 +210,8 @@ struct ChipRunStats {
   /// True if the event queue drained with work still in flight (a
   /// scheduler bug; tests assert it stays false).
   bool Deadlock = false;
+  /// Host-side event-kernel counters (see KernelStats).
+  KernelStats Kernel;
 
   /// Fraction of chip time ME \p Me spent executing instructions.
   double utilization(unsigned Me) const {
@@ -250,9 +273,10 @@ public:
   bool stopped() const;
 
   /// Checkpoint: serializes the complete mutable simulation state —
-  /// event queue and insertion counter, every hardware context, rings,
-  /// channels, in-flight and reorder buffers, RX agent, supervisor
-  /// ledger, the live memory image, and the stats accumulators. Taken
+  /// pending events sorted by (time, insertion order) and the insertion
+  /// counter, every hardware context, rings, channels, in-flight and
+  /// reorder buffers, RX agent, supervisor ledger, the live memory
+  /// image, and the stats accumulators (not the Kernel counters). Taken
   /// between events (see RetireHook), a snapshot plus the same packet
   /// source replays the remaining event stream bit-identically.
   /// Construction-time state (programs, translations, topology, the
@@ -263,7 +287,13 @@ public:
   /// Restores a saveState() image into this not-yet-run chip; run()
   /// then continues the interrupted event stream. The caller is
   /// responsible for re-arming an equivalent Source positioned at the
-  /// serialized dispatch cursor.
+  /// serialized dispatch cursor. Pending events may come in any order.
+  /// A payload that decodes but cannot be run — an event of unknown
+  /// kind, with an out-of-range ME or context, before the saved clock
+  /// or above the saved insertion counter; an out-of-range ready,
+  /// consumer or TX-producer entry; a ring of another geometry —
+  /// latches \p R 's failure; the chip
+  /// must then be discarded, not run.
   void restoreState(BinReader &R);
 
 private:

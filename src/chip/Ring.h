@@ -118,9 +118,14 @@ public:
     W.u64(Hash);
   }
   void restoreState(BinReader &R) {
+    size_t Capacity = Buf.size();
     Buf = R.vec64();
     Head = R.u32();
     Count = R.u32();
+    // The geometry is fixed at construction; a payload that changes it
+    // would index past the buffer.
+    if (Buf.size() != Capacity || Head >= Capacity || Count > Capacity)
+      R.fail();
     HighWater = R.u32();
     Pushes = R.u64();
     Pops = R.u64();

@@ -157,15 +157,21 @@ public:
         continue;
       }
       uint64_t Stop = PageEnd < DenseHi ? PageEnd : DenseHi;
-      for (; A < Stop; ++A) {
-        uint32_t Slot = static_cast<uint32_t>(A) & PageMask;
-        uint64_t &W = Pg->Present[Slot >> 6];
-        uint64_t Bit = 1ull << (Slot & 63);
-        if (W & Bit) {
-          W &= ~Bit;
-          --Count;
-        }
+      // Clear whole presence words, masked at the range's two ends.
+      uint64_t PageBase = PageEnd - PageWords;
+      uint32_t Lo = static_cast<uint32_t>(A - PageBase);
+      uint32_t Hi = static_cast<uint32_t>(Stop - PageBase); // <= PageWords
+      for (uint32_t WI = Lo >> 6; WI << 6 < Hi; ++WI) {
+        uint64_t Mask = ~0ull;
+        if (WI == Lo >> 6)
+          Mask <<= Lo & 63;
+        if (Hi - (WI << 6) < 64)
+          Mask &= (1ull << (Hi & 63)) - 1;
+        uint64_t &W = Pg->Present[WI];
+        Count -= static_cast<size_t>(__builtin_popcountll(W & Mask));
+        W &= ~Mask;
       }
+      A = Stop;
     }
     if (HiExclusive > DenseBound) {
       auto E = HiExclusive > 0xFFFFFFFFull

@@ -287,6 +287,17 @@ std::string soak::chipReportJson(const ChipSoakReport &R) {
                C.Exec == chip::ExecModel::Threaded ? "threaded" : "interp",
                (unsigned long long)C.Superblocks,
                (unsigned long long)C.SuperblockOps);
+  const chip::KernelStats &K = C.Kernel;
+  J += "\"kernel\":{\"events\":{";
+  for (unsigned I = 0; I != chip::KernelStats::NumKinds; ++I)
+    J += formatf("%s\"%s\":%llu", I ? "," : "",
+                 chip::KernelStats::kindName(I),
+                 (unsigned long long)K.Handled[I]);
+  J += formatf("},\"noop_me_runs\":%llu,\"pushes\":%llu,"
+               "\"pushes_per_retired\":%.2f,\"peak_pending\":%llu},",
+               (unsigned long long)K.NoopMeRuns,
+               (unsigned long long)K.Pushes, K.pushesPerRetired(),
+               (unsigned long long)K.PeakPending);
   J += formatf("\"trace_hash\":\"%016llx\",\"image_hash\":\"%016llx\",",
                (unsigned long long)C.TraceHash,
                (unsigned long long)R.ImageHash);

@@ -18,7 +18,9 @@
 /// IEEE-754 bit pattern, strings and vectors as a u64 count followed by
 /// elements. A reader whose input is truncated or malformed never traps:
 /// every accessor returns a zero value once failed() latches, so callers
-/// validate once at the end instead of after every field.
+/// validate once at the end instead of after every field. Callers latch
+/// it themselves (fail()) for bytes that decode but describe an
+/// impossible state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +100,11 @@ public:
 
   bool failed() const { return Fail; }
   size_t remaining() const { return Len - Pos; }
+  /// Latches failure from outside: a caller that decodes well-formed
+  /// bytes into a value its state cannot hold (an index out of range, a
+  /// broken invariant) rejects the payload the same way truncation
+  /// does, so one failed() check at the end covers both.
+  void fail() { Fail = true; }
 
   uint8_t u8() {
     if (!take(1))

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //
 //  1. Serializer: BinWriter/BinReader roundtrips, reader failure
 //     latching, and the checkpoint file format — header versioning,
@@ -20,6 +20,9 @@
 //     produce a byte-identical stable report to an uninterrupted run —
 //     standalone and whole-chip, interp and threaded, with and without
 //     an armed chip fault schedule.
+//  4. Chip snapshot validation: any order of the pending-event records
+//     restores the same queue, and checksum-valid records with
+//     out-of-range fields fail resume with a typed CheckpointCorrupt.
 //
 // Like soak_test, this compiles the nat app through the ILP allocator
 // (cached in-process), so it runs as one ctest entry.
@@ -35,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include <dirent.h>
@@ -122,6 +126,7 @@ std::string stableJson(soak::SoakReport R) {
 std::string stableChipJson(soak::ChipSoakReport R) {
   R.Base.WallSeconds = 0;
   R.Base.TranslateSeconds = 0;
+  R.Chip.Kernel = chip::KernelStats(); // per-process, like wall time
   return soak::chipReportJson(R);
 }
 
@@ -431,6 +436,190 @@ TEST(ResumeEquality, ChipInterpWithFaultSchedule) {
 
 TEST(ResumeEquality, ChipThreadedWithFaultSchedule) {
   expectChipResumeEquality(soak::ExecMode::Threaded, /*WithFaults=*/true);
+}
+
+//===----------------------------------------------------------------------===//
+// Chip snapshot validation
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Size of one serialized pending event: Time, Order, kind, ME,
+/// context, operand.
+constexpr size_t EventBytes = 8 + 8 + 1 + 4 + 4 + 8;
+
+uint64_t getU64(const std::string &S, size_t Off) {
+  BinReader R(S.data() + Off, 8);
+  return R.u64();
+}
+
+void putU64(std::string &S, size_t Off, uint64_t V) {
+  BinWriter W;
+  W.u64(V);
+  S.replace(Off, 8, W.bytes());
+}
+
+void putU32(std::string &S, size_t Off, uint32_t V) {
+  BinWriter W;
+  W.u32(V);
+  S.replace(Off, 4, W.bytes());
+}
+
+/// Where the pending-event records sit in a chip soak's state section.
+/// The chip state ends with a fixed-size tail (OrderCtr, LastTime and
+/// the stats accumulators) right after the records, which follow their
+/// u64 count; the count is the one that frames records consistent with
+/// that tail.
+struct EventSection {
+  size_t First = 0; ///< offset of the first record
+  uint64_t Count = 0;
+  uint64_t OrderCtr = 0, LastTime = 0;
+};
+
+bool findEventSection(const std::string &State, unsigned Mes, unsigned Ctxs,
+                      EventSection &Out) {
+  size_t Tail = 8 * 5 + 8 * Mes + 8 * Mes * Ctxs + 4 + 8 + 8;
+  if (State.size() < Tail + 8)
+    return false;
+  size_t End = State.size() - Tail;
+  uint64_t OrderCtr = getU64(State, End), LastTime = getU64(State, End + 8);
+  bool Found = false;
+  for (uint64_t N = 1; EventBytes * N + 8 <= End; ++N) {
+    size_t First = End - EventBytes * N;
+    if (getU64(State, First - 8) != N)
+      continue;
+    bool Plausible = true;
+    for (uint64_t I = 0; I != N && Plausible; ++I) {
+      size_t Off = First + I * EventBytes;
+      Plausible = getU64(State, Off) >= LastTime &&
+                  getU64(State, Off + 8) <= OrderCtr &&
+                  static_cast<uint8_t>(State[Off + 16]) < 8;
+    }
+    if (Plausible) {
+      Out = {First, N, OrderCtr, LastTime};
+      Found = true; // keep the largest consistent count
+    }
+  }
+  return Found;
+}
+
+/// The newest snapshot in \p Dir (highest retired count).
+ckpt::LoadedCheckpoint newestCheckpoint(const std::string &Dir) {
+  ckpt::LoadedCheckpoint Best;
+  DIR *D = opendir(Dir.c_str());
+  EXPECT_NE(D, nullptr) << Dir;
+  while (dirent *E = D ? readdir(D) : nullptr) {
+    std::string N = E->d_name;
+    if (N.find(".nova-ckpt") == std::string::npos)
+      continue;
+    ckpt::LoadedCheckpoint LC;
+    if (ckpt::readCheckpoint(Dir + "/" + N, LC).ok() &&
+        (Best.Path.empty() ||
+         LC.Meta.PacketsRetired > Best.Meta.PacketsRetired))
+      Best = std::move(LC);
+  }
+  if (D)
+    closedir(D);
+  return Best;
+}
+
+/// A 6-ME threaded chip soak under a fault schedule (so supervisor
+/// ticks sit beyond the kernel's wheel), stopped at 1100 retired with a
+/// snapshot taken once 1000 had retired.
+struct ChipSnapshotFixture {
+  TempDir D;
+  soak::ChipSoakOptions Opts;
+  soak::ChipSoakReport Ref;
+  ckpt::LoadedCheckpoint Snap;
+  EventSection Ev;
+
+  ChipSnapshotFixture() {
+    Opts.Base.Packets = 2000;
+    Opts.Base.Seed = 42;
+    Opts.Base.Exec = soak::ExecMode::Threaded;
+    Opts.Base.OracleEvery = 50;
+    Opts.Chip.Exec = chip::ExecModel::Threaded;
+    std::string Error;
+    EXPECT_TRUE(parseFaultSchedule("ctx-lockup@300,chan-brownout@500~4",
+                                   Opts.Chip.Faults, Error))
+        << Error;
+    Ref = soak::runChipSoak(natHarness(), Opts);
+    Opts.Base.Ckpt.Every = 500;
+    Opts.Base.Ckpt.Dir = D.Path;
+    Opts.Base.Ckpt.StopAfter = 1100;
+    soak::ChipSoakReport Crashed = soak::runChipSoak(natHarness(), Opts);
+    EXPECT_TRUE(Crashed.Base.Stopped);
+    Opts.Base.Ckpt.StopAfter = 0;
+    Opts.Base.Ckpt.Resume = true;
+    Snap = newestCheckpoint(D.Path);
+    EXPECT_GE(Snap.Meta.PacketsRetired, 1000u);
+    EXPECT_TRUE(findEventSection(state(), Opts.Chip.MP.MeCount,
+                                 Opts.Chip.MP.ContextsPerMe, Ev));
+  }
+
+  std::string state() const { return Snap.Payload.substr(Snap.StateOffset); }
+
+  /// Rewrites the snapshot with \p State (fresh checksum) and resumes.
+  soak::ChipSoakReport resumeWith(const std::string &State) {
+    EXPECT_TRUE(ckpt::writeCheckpoint(D.Path, Snap.Meta, State).ok());
+    return soak::runChipSoak(natHarness(), Opts);
+  }
+};
+
+} // namespace
+
+TEST(ChipSnapshot, ReversedEventRecordsResumeExactly) {
+  // Snapshots list pending events in (time, order) order, but restore
+  // must not depend on it: any permutation of the records is the same
+  // queue.
+  ChipSnapshotFixture F;
+  ASSERT_GE(F.Ev.Count, 2u);
+  std::string State = F.state();
+  std::string Reversed = State;
+  for (uint64_t I = 0; I != F.Ev.Count; ++I) {
+    size_t From = F.Ev.First + (F.Ev.Count - 1 - I) * EventBytes;
+    Reversed.replace(F.Ev.First + I * EventBytes, EventBytes,
+                     State.substr(From, EventBytes));
+  }
+  ASSERT_NE(Reversed, State);
+  soak::ChipSoakReport Resumed = F.resumeWith(Reversed);
+  ASSERT_TRUE(Resumed.Base.CkptError.ok()) << Resumed.Base.CkptError.message();
+  EXPECT_EQ(Resumed.Chip.TraceHash, F.Ref.Chip.TraceHash);
+  EXPECT_EQ(Resumed.ImageHash, F.Ref.ImageHash);
+  EXPECT_EQ(Resumed.Chip.Recovery.fold(), F.Ref.Chip.Recovery.fold());
+  EXPECT_EQ(stableChipJson(F.Ref), stableChipJson(Resumed));
+}
+
+TEST(ChipSnapshot, OutOfRangeEventFieldsAreCorrupt) {
+  // Checksum-valid payloads whose event records the chip cannot hold.
+  // Each must fail resume with CheckpointCorrupt (novasoak exit 5), not
+  // index out of range or pop events out of order.
+  ChipSnapshotFixture F;
+  ASSERT_GE(F.Ev.Count, 1u);
+  size_t Rec = F.Ev.First;
+  struct Mutation {
+    const char *What;
+    std::function<void(std::string &)> Apply;
+  };
+  const Mutation Ms[] = {
+      {"ME index 200", [&](std::string &S) { putU32(S, Rec + 17, 200); }},
+      {"context index 200", [&](std::string &S) { putU32(S, Rec + 21, 200); }},
+      {"kind 9", [&](std::string &S) { S[Rec + 16] = 9; }},
+      {"time before LastTime",
+       [&](std::string &S) { putU64(S, Rec, F.Ev.LastTime - 1); }},
+      {"order above OrderCtr",
+       [&](std::string &S) { putU64(S, Rec + 8, F.Ev.OrderCtr + 1); }},
+  };
+  ASSERT_GT(F.Ev.LastTime, 0u);
+  for (const Mutation &M : Ms) {
+    SCOPED_TRACE(M.What);
+    std::string State = F.state();
+    M.Apply(State);
+    soak::ChipSoakReport R = F.resumeWith(State);
+    ASSERT_FALSE(R.Base.CkptError.ok());
+    EXPECT_EQ(R.Base.CkptError.code(), StatusCode::CheckpointCorrupt);
+    EXPECT_EQ(R.Chip.PacketsRetired, 0u); // nothing ran
+  }
 }
 
 TEST(ResumeEquality, ResumeIntoFreshDirectoryIsTypedError) {

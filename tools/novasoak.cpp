@@ -94,9 +94,9 @@ static void usage() {
       "                      packets, pkt/s, last durable checkpoint\n"
       "  --kill-after <n>    crash harness: raise SIGKILL once n packets\n"
       "                      have retired (tests mid-run death)\n"
-      "  --stable-json       zero wall-clock fields in --json output so\n"
-      "                      resumed and uninterrupted runs compare\n"
-      "                      byte-for-byte\n");
+      "  --stable-json       zero wall-clock fields and chip kernel\n"
+      "                      counters in --json output so resumed and\n"
+      "                      uninterrupted runs compare byte-for-byte\n");
 }
 
 namespace {
@@ -447,6 +447,7 @@ int main(int argc, char **argv) {
       if (StableJson) {
         Rep.Base.WallSeconds = 0;
         Rep.Base.TranslateSeconds = 0;
+        Rep.Chip.Kernel = chip::KernelStats();
       }
       if (!Quiet)
         soak::printChipReport(Rep, stdout);
