@@ -1393,7 +1393,7 @@ struct Chip::Impl {
         uint8_t Ph = R.u8();
         if (Ph > static_cast<uint8_t>(CtxPh::RestartWait))
           R.fail();
-        Cx.Ph = R.failed() ? CtxPh::ParkedRing : static_cast<CtxPh>(Ph);
+        Cx.Ph = static_cast<CtxPh>(Ph);
         Cx.CurSeq = R.u64();
         Cx.WedgeTime = R.u64();
       }
@@ -1418,8 +1418,7 @@ struct Chip::Impl {
       unsigned M = R.u32();
       if (M >= P.MP.MeCount)
         R.fail();
-      unsigned C = readCtxIndex(R);
-      TxProducers.emplace_back(R.failed() ? 0 : M, C);
+      TxProducers.emplace_back(M, readCtxIndex(R));
     }
     restoreRecMap(R, InFlight);
     restoreRecMap(R, Reorder);
@@ -1447,7 +1446,8 @@ struct Chip::Impl {
     Mem.restoreState(R);
     std::vector<Event> Pending;
     uint64_t NQ = R.u64();
-    if (NQ > R.remaining() / 33)
+    constexpr size_t EventRecordBytes = 8 + 8 + 1 + 4 + 4 + 8;
+    if (NQ > R.remaining() / EventRecordBytes)
       R.fail(); // fewer bytes left than NQ event records need
     for (uint64_t I = 0; I != NQ && !R.failed(); ++I) {
       uint64_t Time = R.u64();
