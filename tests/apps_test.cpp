@@ -12,6 +12,7 @@
 
 #include "alloc/Verifier.h"
 #include "apps/AppSources.h"
+#include "checkpoint/Checkpoint.h"
 #include "cps/Eval.h"
 #include "driver/Compiler.h"
 #include "ref/Aes.h"
@@ -320,6 +321,20 @@ TEST(AppNat, ErrorPathsRaise) {
     auto [Halt, Out] = runApp(App, {0x100, 0x800}, Mem);
     EXPECT_EQ(Halt, 0xFFFFFFFEu);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Literal allocation pins
+//===----------------------------------------------------------------------===//
+
+// The allocated code of each app, hashed over every instruction and
+// operand: any change to bank choice, register coloring or move
+// sequencing changes it. `novac --dump-alloc` prints the same programs.
+TEST(AppPins, AllocatedCodeHashes) {
+  ASSERT_TRUE(aesApp().Ok && kasumiApp().Ok && natApp().Ok);
+  EXPECT_EQ(ckpt::codeHash(aesApp().Alloc.Prog), 0x1d6d176b941f4412ull);
+  EXPECT_EQ(ckpt::codeHash(kasumiApp().Alloc.Prog), 0x0da4567133e98a0bull);
+  EXPECT_EQ(ckpt::codeHash(natApp().Alloc.Prog), 0x62dd780a59d040a3ull);
 }
 
 //===----------------------------------------------------------------------===//
