@@ -8,6 +8,7 @@
 #include "alloc/Allocator.h"
 
 #include "alloc/Baseline.h"
+#include "alloc/Coloring.h"
 #include "alloc/Verifier.h"
 #include "ixp/Frequency.h"
 #include "support/StringUtils.h"
@@ -35,10 +36,10 @@ namespace {
 /// and clone starts joined to their original — co-located clones share a
 /// register, paper Section 10). Color-critical temps carry their ILP
 /// transfer-bank colors as precolors; entry parameters are precolored to
-/// A0..A(n-1); everything else is colored greedily with an
-/// optimistic-coalescing preference for Move endpoints (Section 9's
-/// Park-Moon flavour). The ILP's K/capacity constraints keep the greedy
-/// feasible in practice.
+/// A0..A(n-1); everything else is colored by colorGraph (Coloring.h)
+/// with an optimistic-coalescing preference for Move endpoints (Section
+/// 9's Park-Moon flavour). The ILP's K/capacity constraints keep the
+/// coloring feasible in practice.
 class RegColoring {
 public:
   RegColoring(const MachineProgram &M, const PointMap &Points,
@@ -72,9 +73,13 @@ public:
         }
       if (!AnySplit)
         return false; // already fully split: genuine failure
+      ++Retries;
     }
     return false;
   }
+
+  /// Split-and-retry rounds the last run() needed.
+  unsigned retries() const { return Retries; }
 
   /// Identity moves turned into real copies by coalescing undo; the
   /// extractor emits a same-bank Move there.
@@ -93,10 +98,10 @@ public:
     uint32_t C = Model.segmentOf(P, V, AfterSide);
     auto It = VertexOfClass.find(C);
     assert(It != VertexOfClass.end() && "no stay for this residency");
-    auto RegIt = Reg.find(findRoot(It->second));
-    assert(RegIt != Reg.end() && "stay was not colored");
+    int R = Reg[findRoot(It->second)];
+    assert(R >= 0 && "stay was not colored");
     (void)B;
-    return RegIt->second;
+    return static_cast<uint16_t>(R);
   }
 
 private:
@@ -104,8 +109,9 @@ private:
     Bank B = Bank::A;
     Temp AnyTemp = 0;
     Temp CloneRep = 0;
-    std::set<uint32_t> Residency; ///< (point << 1) | side
-    uint32_t First = ~0u;
+    /// Residency slots (point << 1) | side, unsorted until color() moves
+    /// them into the coloring graph.
+    std::vector<uint32_t> Slots;
     int Precolor = -1;
   };
 
@@ -116,6 +122,7 @@ private:
     uint32_t Id = static_cast<uint32_t>(Vertices.size());
     VertexOfClass.emplace(Class, Id);
     Parent.push_back(Id);
+    Reg.push_back(-1);
     Vertex Vx;
     Vx.B = B;
     Vx.AnyTemp = V;
@@ -136,9 +143,9 @@ private:
     if (A == B)
       return;
     Parent[B] = A;
-    Vertices[A].Residency.insert(Vertices[B].Residency.begin(),
-                                 Vertices[B].Residency.end());
-    Vertices[A].First = std::min(Vertices[A].First, Vertices[B].First);
+    Vertices[A].Slots.insert(Vertices[A].Slots.end(),
+                             Vertices[B].Slots.begin(),
+                             Vertices[B].Slots.end());
     if (Vertices[A].Precolor < 0)
       Vertices[A].Precolor = Vertices[B].Precolor;
   }
@@ -152,10 +159,7 @@ private:
             continue;
           uint32_t C = Model.segmentOf(P, V, Side != 0);
           uint32_t Id = vertexOf(C, V, B);
-          uint32_t Root = findRoot(Id);
-          Vertices[Root].Residency.insert((P << 1) | Side);
-          Vertices[Root].First =
-              std::min(Vertices[Root].First, (P << 1) | Side);
+          Vertices[findRoot(Id)].Slots.push_back((P << 1) | Side);
         }
   }
 
@@ -259,153 +263,52 @@ private:
       }
   }
 
-  static bool overlaps(const std::set<uint32_t> &A,
-                       const std::set<uint32_t> &B) {
-    const std::set<uint32_t> &Small = A.size() < B.size() ? A : B;
-    const std::set<uint32_t> &Big = &Small == &A ? B : A;
-    for (uint32_t S : Small)
-      if (Big.count(S))
-        return true;
+  bool color(std::string &Error, Temp &FailedTemp) {
+    // The roots, in id order, are the vertices of the coloring problem.
+    std::vector<uint32_t> Roots;
+    std::vector<uint32_t> IndexOf(Vertices.size(), ~0u);
+    std::vector<ColorVertex> Graph;
+    for (uint32_t Id = 0; Id != Vertices.size(); ++Id) {
+      if (findRoot(Id) != Id)
+        continue;
+      IndexOf[Id] = static_cast<uint32_t>(Roots.size());
+      Roots.push_back(Id);
+      Vertex &Vx = Vertices[Id];
+      ColorVertex CV;
+      CV.B = Vx.B;
+      CV.CloneRep = Vx.CloneRep;
+      CV.Precolor = Vx.Precolor;
+      CV.Slots = std::move(Vx.Slots);
+      std::sort(CV.Slots.begin(), CV.Slots.end());
+      CV.Slots.erase(std::unique(CV.Slots.begin(), CV.Slots.end()),
+                     CV.Slots.end());
+      Graph.push_back(std::move(CV));
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> Aff;
+    for (auto [R1, R2] : Affinities)
+      Aff.emplace_back(IndexOf[findRoot(R1)], IndexOf[findRoot(R2)]);
+
+    ColorOutcome C = colorGraph(Graph, buildInterference(Graph), Aff);
+    for (uint32_t I = 0; I != Roots.size(); ++I)
+      Reg[Roots[I]] = C.Reg[I];
+    if (C.Status == ColorStatus::Colored)
+      return true;
+    const Vertex &Vx = Vertices[Roots[C.Failed]];
+    if (C.Status == ColorStatus::PrecolorConflict) {
+      Error = formatf("register assignment: precolored %s%d of %s conflicts",
+                      bankName(Vx.B), Vx.Precolor,
+                      M.tempName(Vx.AnyTemp).c_str());
+      FailedTemp = ~0u; // precolor conflicts are not splittable here
+      return false;
+    }
+    Error = formatf("register assignment ran out of %s registers (temp %s)",
+                    bankName(Vx.B), M.tempName(Vx.AnyTemp).c_str());
+    FailedTemp = Vx.AnyTemp;
     return false;
   }
 
-  bool conflicts(const Vertex &V1, const Vertex &V2) const {
-    if (V1.B != V2.B)
-      return false;
-    // Clone-set members hold the same value; sharing is always legal.
-    if (V1.CloneRep == V2.CloneRep)
-      return false;
-    return overlaps(V1.Residency, V2.Residency);
-  }
-
-  bool color(std::string &Error, Temp &FailedTemp) {
-    std::vector<uint32_t> Roots;
-    for (uint32_t Id = 0; Id != Vertices.size(); ++Id)
-      if (findRoot(Id) == Id)
-        Roots.push_back(Id);
-
-    // A has 16 physical registers; the ILP's K row admits only 15
-    // simultaneous residents, so the 16th register is the slack the
-    // paper reserves for optimistic-coalescing repair and copy cycles
-    // (Section 6). The parallel-copy sequencer picks whatever register
-    // is free at its point.
-    auto Capacity = [&](Bank B) -> unsigned {
-      return B == Bank::B || B == Bank::A ? 16 : 8;
-    };
-    auto TryAssign = [&](uint32_t Id) -> bool {
-      Vertex &Vx = Vertices[Id];
-      std::set<uint16_t> Used;
-      for (uint32_t Other : Roots) {
-        if (Other == Id)
-          continue;
-        auto It = Reg.find(Other);
-        if (It != Reg.end() && conflicts(Vx, Vertices[Other]))
-          Used.insert(It->second);
-      }
-      if (Vx.Precolor >= 0) {
-        if (Used.count(static_cast<uint16_t>(Vx.Precolor))) {
-          Error = formatf("register assignment: precolored %s%d of %s "
-                          "conflicts",
-                          bankName(Vx.B), Vx.Precolor,
-                          M.tempName(Vx.AnyTemp).c_str());
-          return false;
-        }
-        Reg[Id] = static_cast<uint16_t>(Vx.Precolor);
-        return true;
-      }
-      // Affinity preference (optimistic coalescing of Move endpoints).
-      for (auto &[R1, R2] : Affinities) {
-        uint32_t Other = findRoot(R1) == Id   ? findRoot(R2)
-                         : findRoot(R2) == Id ? findRoot(R1)
-                                              : ~0u;
-        if (Other == ~0u || Vertices[Other].B != Vx.B)
-          continue;
-        auto It = Reg.find(Other);
-        if (It != Reg.end() && !Used.count(It->second)) {
-          Reg[Id] = It->second;
-          return true;
-        }
-      }
-      for (uint16_t R = 0; R != Capacity(Vx.B); ++R)
-        if (!Used.count(R)) {
-          Reg[Id] = R;
-          return true;
-        }
-      Error = formatf("register assignment ran out of %s registers "
-                      "(temp %s)",
-                      bankName(Vx.B), M.tempName(Vx.AnyTemp).c_str());
-      LastFailedTemp = Vx.AnyTemp;
-      return false;
-    };
-
-    // Precolored vertices are pinned first.
-    LastFailedTemp = ~0u;
-    std::vector<uint32_t> Work;
-    for (uint32_t Id : Roots) {
-      if (Vertices[Id].Precolor >= 0) {
-        if (!TryAssign(Id)) {
-          FailedTemp = ~0u; // precolor conflicts are not splittable here
-          return false;
-        }
-      } else {
-        Work.push_back(Id);
-      }
-    }
-
-    // Chaitin-Briggs simplify: peel vertices whose degree among the
-    // still-unpeeled is below the bank capacity; when none qualifies,
-    // peel the max-degree vertex optimistically. Select in reverse.
-    std::vector<bool> Peeled(Vertices.size(), false);
-    auto Degree = [&](uint32_t Id) {
-      unsigned D = 0;
-      for (uint32_t Other : Work)
-        if (Other != Id && !Peeled[Other] &&
-            conflicts(Vertices[Id], Vertices[Other]))
-          ++D;
-      return D;
-    };
-    std::vector<uint32_t> Stack;
-    unsigned Remaining = Work.size();
-    while (Remaining) {
-      int Pick = -1;
-      unsigned PickDeg = ~0u;
-      for (uint32_t Id : Work) {
-        if (Peeled[Id])
-          continue;
-        unsigned D = Degree(Id);
-        if (D < Capacity(Vertices[Id].B) && D < PickDeg) {
-          Pick = static_cast<int>(Id);
-          PickDeg = D;
-        }
-      }
-      if (Pick < 0) {
-        // Optimistic: peel the highest-degree vertex and hope a color
-        // remains at select time (Park-Moon style optimism).
-        unsigned Best = 0;
-        for (uint32_t Id : Work) {
-          if (Peeled[Id])
-            continue;
-          unsigned D = Degree(Id);
-          if (Pick < 0 || D > Best) {
-            Pick = static_cast<int>(Id);
-            Best = D;
-          }
-        }
-      }
-      Peeled[Pick] = true;
-      Stack.push_back(static_cast<uint32_t>(Pick));
-      --Remaining;
-    }
-    for (auto It = Stack.rbegin(); It != Stack.rend(); ++It)
-      if (!TryAssign(*It)) {
-        FailedTemp = LastFailedTemp;
-        return false;
-      }
-    return true;
-  }
-
-  Temp LastFailedTemp = ~0u;
   std::map<std::pair<PointId, Temp>, bool> SplitCandidates;
+  unsigned Retries = 0;
 
   const MachineProgram &M;
   const PointMap &Points;
@@ -416,7 +319,7 @@ private:
   std::map<uint32_t, uint32_t> VertexOfClass;
   mutable std::vector<uint32_t> Parent;
   std::vector<Vertex> Vertices;
-  std::map<uint32_t, uint16_t> Reg;
+  std::vector<int> Reg; ///< per vertex id: register of a root, or -1
   std::vector<std::pair<uint32_t, uint32_t>> Affinities;
 };
 
