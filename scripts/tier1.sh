@@ -222,9 +222,15 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test checkpoint_test wordmap_test cps_test soak_test
+  chip_fault_test checkpoint_test wordmap_test cps_test soak_test \
+  alloc_test coloring_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
+# The allocator end to end (split-and-retry coloring included) and the
+# interference-graph coloring against its cubic reference: index-built
+# adjacency and degree bookkeeping are where an off-by-one would hide.
+timeout 300 "$SAN_BUILD/tests/alloc_test"
+timeout 120 "$SAN_BUILD/tests/coloring_test"
 # The supervisor's abort/restart path frees and rebuilds per-packet
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.

@@ -337,6 +337,9 @@ public:
 
   bool run(AllocatedProgram &Out, std::string &Error);
 
+  double coloringSeconds() const { return ColoringSeconds; }
+  unsigned coloringRetries() const { return Regs.retries(); }
+
 private:
   const MachineProgram &M;
   const PointMap &Points;
@@ -345,6 +348,7 @@ private:
   const std::vector<double> &X;
   AllocOptions Opts;
   RegColoring Regs;
+  double ColoringSeconds = 0.0;
   std::map<Temp, unsigned> SpillSlot; ///< per clone representative
   unsigned NumSpillSlots = 0;
 
@@ -649,7 +653,10 @@ bool Extractor::emitInstr(const MachineInstr &MI, PointId P1,
 }
 
 bool Extractor::run(AllocatedProgram &Out, std::string &Error) {
-  if (!Regs.run(Error))
+  Timer Clock;
+  bool Colored = Regs.run(Error);
+  ColoringSeconds = Clock.seconds();
+  if (!Colored)
     return false;
 
   Out.Blocks.resize(M.Blocks.size());
@@ -730,9 +737,16 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     return Result;
   }
 
+  // Phase clock: each phase ends with a lap, so the laps tile the wall
+  // clock (teardown between rungs lands in the next rung's model phase).
+  Timer Wall, Lap;
+  AllocPhases Phases;
+  auto EndPhase = [&Lap](double &Phase) { Phase += Lap.lap(); };
+
   Liveness LV(M);
   PointMap Points(M, LV);
   FrequencyInfo Freq(M);
+  EndPhase(Phases.AnalysisSeconds);
 
   const bool MayDescend = Opts.FailurePolicy != OnIlpFailure::Error;
   const bool MayBaseline = Opts.FailurePolicy == OnIlpFailure::Baseline;
@@ -756,7 +770,9 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     MO.AllowSpills = WithSpills;
     BankAnalysis Banks(M, WithSpills);
     AllocModel Model(M, LV, Points, Freq, Banks, MO);
-    if (!Model.build(Diags)) {
+    bool Built = Model.build(Diags);
+    EndPhase(Phases.ModelSeconds);
+    if (!Built) {
       R.Error = Status::error(StatusCode::ModelBuildFailed, Phase::ModelBuild,
                               "model construction failed (see diagnostics)");
       return Attempt::Structural;
@@ -769,6 +785,7 @@ AllocationResult alloc::allocate(const MachineProgram &M,
       MipOpts.TimeLimitSeconds = BudgetSeconds;
     ilp::MipSolver Solver(Model.model(), MipOpts);
     ilp::MipResult Mip = Solver.solve();
+    EndPhase(Phases.SolveSeconds);
     R.Stats.Solve = Mip.Stats;
     R.Stats.UsedSpillModel = WithSpills;
     if (Mip.Status == ilp::MipStatus::Infeasible) {
@@ -807,7 +824,11 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     }());
     std::string Error;
     AllocatedProgram Prog;
-    if (!Ext.run(Prog, Error)) {
+    bool Extracted = Ext.run(Prog, Error);
+    Phases.ColoringSeconds += Ext.coloringSeconds();
+    R.Stats.ColoringRetries = Ext.coloringRetries();
+    EndPhase(Phases.ExtractSeconds);
+    if (!Extracted) {
       R.Error = Status::error(StatusCode::ExtractFailed, Phase::Extract,
                               "extraction failed: " + Error);
       return Attempt::Structural;
@@ -815,6 +836,7 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     // Gate every rung on the legality verifier: nothing unverified may
     // escape the allocator, no matter how the ladder got here.
     std::vector<std::string> Found = verifyAllocated(Prog);
+    EndPhase(Phases.VerifySeconds);
     if (!Found.empty()) {
       Violations += Found.size();
       R.Error = Status::error(StatusCode::VerifyFailed, Phase::Verify,
@@ -828,6 +850,8 @@ AllocationResult alloc::allocate(const MachineProgram &M,
   };
 
   auto Finalize = [&](AllocationResult &R, AllocRung Rung) {
+    R.Stats.Phases = Phases;
+    R.Stats.Phases.WallSeconds = Wall.seconds();
     R.Stats.Rung = Rung;
     R.Stats.LadderAttempts = Attempts;
     R.Stats.VerifierViolations = Violations;
@@ -884,6 +908,7 @@ AllocationResult alloc::allocate(const MachineProgram &M,
   AllocationResult Fallback;
   Fallback.Stats = SpillResult.Stats; // keep the failed solve's telemetry
   BaselineResult B = allocateBaseline(M, Opts.SpillBase);
+  EndPhase(Phases.BaselineSeconds);
   if (!B.Ok) {
     Fallback.Error =
         Status::error(StatusCode::BaselineFailed, Phase::Baseline,
@@ -893,6 +918,7 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     return Fallback;
   }
   std::vector<std::string> Found = verifyAllocated(B.Prog);
+  EndPhase(Phases.VerifySeconds);
   if (!Found.empty()) {
     Violations += Found.size();
     Fallback.Error = Status::error(

@@ -67,6 +67,21 @@ struct AllocOptions {
   OnIlpFailure FailurePolicy = OnIlpFailure::Incumbent;
 };
 
+/// Wall seconds of allocate() by phase, summed over every ladder rung
+/// that ran. The phases tile allocate()'s wall clock except the
+/// coloring, which is a part of extraction (and the ILP's factorization
+/// seconds, MipStats::FactorizeSeconds, a part of the solve).
+struct AllocPhases {
+  double AnalysisSeconds = 0.0; ///< liveness, program points, frequencies
+  double ModelSeconds = 0.0;    ///< bank analysis, ILP model build
+  double SolveSeconds = 0.0;    ///< MIP solve: presolve, root LP, search
+  double ExtractSeconds = 0.0;  ///< register coloring and code emission
+  double ColoringSeconds = 0.0; ///< register coloring alone
+  double VerifySeconds = 0.0;   ///< legality verifier
+  double BaselineSeconds = 0.0; ///< heuristic memory-home fallback
+  double WallSeconds = 0.0;     ///< all of allocate()
+};
+
 /// Everything the paper's Figures 6 and 7 report, per program, plus the
 /// degradation-ladder outcome.
 struct AllocStats {
@@ -87,6 +102,10 @@ struct AllocStats {
   /// Verifier violations seen across *rejected* rungs. The accepted
   /// program always has zero: no rung may emit unverified code.
   unsigned VerifierViolations = 0;
+  /// Split-and-retry rounds the register coloring of the accepted rung
+  /// needed (an identity-move join split back into a copy each round).
+  unsigned ColoringRetries = 0;
+  AllocPhases Phases;
 };
 
 struct AllocationResult {

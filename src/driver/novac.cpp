@@ -143,7 +143,13 @@ void writeStatsJson(const char *Path, const char *File,
                "  \"spills\": %u,\n"
                "  \"ilp\": {\"vars\": %u, \"cons\": %u, \"objterms\": %u},\n"
                "  \"solve\": {\"nodes\": %u, \"total_s\": %.3f, "
-               "\"root_lp_s\": %.3f, \"threads\": %u}\n"
+               "\"root_lp_s\": %.3f, \"threads\": %u},\n"
+               "  \"coloring_retries\": %u,\n"
+               "  \"phases\": {\"analysis_s\": %.6f, \"model_s\": %.6f, "
+               "\"solve_s\": %.6f, \"factorize_s\": %.6f, "
+               "\"extract_s\": %.6f, \"coloring_s\": %.6f, "
+               "\"verify_s\": %.6f, \"baseline_s\": %.6f, "
+               "\"wall_s\": %.6f}\n"
                "}\n",
                File, A.Ok ? "true" : "false", alloc::rungName(S.Rung),
                S.ProvedOptimal ? "true" : "false", S.LadderAttempts,
@@ -151,7 +157,11 @@ void writeStatsJson(const char *Path, const char *File,
                S.Objective, S.Moves, S.Spills, S.IlpSize.NumVariables,
                S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
                S.Solve.Nodes, S.Solve.TotalSeconds, S.Solve.RootLpSeconds,
-               S.Solve.Threads);
+               S.Solve.Threads, S.ColoringRetries, S.Phases.AnalysisSeconds,
+               S.Phases.ModelSeconds, S.Phases.SolveSeconds,
+               S.Solve.FactorizeSeconds, S.Phases.ExtractSeconds,
+               S.Phases.ColoringSeconds, S.Phases.VerifySeconds,
+               S.Phases.BaselineSeconds, S.Phases.WallSeconds);
   std::fclose(F);
 }
 

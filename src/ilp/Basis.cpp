@@ -8,6 +8,7 @@
 #include "ilp/Basis.h"
 
 #include "support/FaultInjection.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -43,6 +44,11 @@ void Basis::setup(unsigned Dim) {
 std::vector<std::pair<uint32_t, uint32_t>>
 Basis::factorize(const std::vector<std::vector<Term>> &Cols,
                  const std::vector<uint32_t> &Basic) {
+  struct AddElapsed { // on every return path
+    double &Sum;
+    Timer Clock;
+    ~AddElapsed() { Sum += Clock.seconds(); }
+  } Account{Stats.FactorizeSeconds, {}};
   assert(Basic.size() == M && "basis size mismatch");
   Valid = false;
   PivRow.clear();

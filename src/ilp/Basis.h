@@ -99,6 +99,7 @@ struct BasisStats {
   unsigned EtaPivots = 0;      ///< simplex pivots absorbed into the eta file
   unsigned LastFactorNnz = 0;  ///< nnz(L) + nnz(U) of the latest LU
   unsigned LastBasisNnz = 0;   ///< nnz(B) of the latest factorized basis
+  double FactorizeSeconds = 0.0; ///< wall time inside factorize()
 };
 
 /// Sparse LU factorization of a simplex basis with a product-form eta

@@ -600,12 +600,21 @@ MipResult MipSolver::solve() {
   // Root relaxation (Figure 7's "Root" column). Worker 0 reuses this
   // instance; the other workers clone its warm basis.
   Simplex RootLp(P.Reduced);
+  auto addLpStats = [&](const Simplex &Lp, const SimplexStats &Base) {
+    SimplexStats LS = Lp.stats();
+    Result.Stats.Factorizations += LS.Factorizations - Base.Factorizations;
+    Result.Stats.FactorizeSeconds +=
+        LS.FactorizeSeconds - Base.FactorizeSeconds;
+    Result.Stats.EtaPivots += LS.EtaPivots - Base.EtaPivots;
+    Result.Stats.PricingPasses += LS.PricingPasses - Base.PricingPasses;
+  };
   Timer RootClock;
   LpResult Root = RootLp.solve();
   Result.Stats.LpIterations += Root.Iterations;
   Result.Stats.RootLpSeconds = RootClock.seconds();
   if (Root.Status == LpStatus::Infeasible) {
     Result.Status = MipStatus::Infeasible;
+    addLpStats(RootLp, SimplexStats());
     finishTimes();
     return Result;
   }
@@ -627,6 +636,8 @@ MipResult MipSolver::solve() {
   }
 
   // Clone the solved root basis into the extra workers (warm starts).
+  // A clone starts with the root's counters; only its own work is added.
+  const SimplexStats AtClone = RootLp.stats();
   std::vector<Simplex> ExtraLps(NumWorkers - 1, RootLp);
   std::vector<std::unique_ptr<Worker>> Workers;
   Workers.push_back(
@@ -651,15 +662,9 @@ MipResult MipSolver::solve() {
     Result.Stats.LpIterations += W->Stats.LpIterations;
     Result.Stats.Workers.push_back(W->Stats);
   }
-  auto addLpStats = [&](const Simplex &Lp) {
-    SimplexStats LS = Lp.stats();
-    Result.Stats.Factorizations += LS.Factorizations;
-    Result.Stats.EtaPivots += LS.EtaPivots;
-    Result.Stats.PricingPasses += LS.PricingPasses;
-  };
-  addLpStats(RootLp);
+  addLpStats(RootLp, SimplexStats());
   for (const Simplex &Lp : ExtraLps)
-    addLpStats(Lp);
+    addLpStats(Lp, AtClone);
 
   bool Complete = !S.HitLimit.load() && !S.Trouble.load();
   finishTimes();

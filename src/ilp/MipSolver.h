@@ -81,6 +81,7 @@ struct MipStats {
   unsigned Steals = 0;   ///< total cross-worker subtree steals
   // LP-engine counters summed over all worker Simplex instances.
   unsigned Factorizations = 0; ///< sparse LU rebuilds
+  double FactorizeSeconds = 0.0; ///< summed wall time of those rebuilds
   unsigned EtaPivots = 0;      ///< pivots absorbed into eta files
   unsigned PricingPasses = 0;  ///< full reduced-cost recomputations
   std::vector<MipWorkerStats> Workers;

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock stopwatch used to report solver times (Figure 7).
+/// Wall-clock stopwatch used to report solver times (Figure 7) and the
+/// allocator's phase times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,14 @@ public:
   /// Elapsed seconds since construction or the last reset().
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - Start).count();
+  }
+
+  /// Elapsed seconds, then restarts: consecutive laps tile the wall clock.
+  double lap() {
+    Clock::time_point Now = Clock::now();
+    double S = std::chrono::duration<double>(Now - Start).count();
+    Start = Now;
+    return S;
   }
 
 private:

@@ -17,6 +17,7 @@
 #include "driver/Compiler.h"
 #include "sim/Simulator.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -305,6 +306,36 @@ TEST(Allocator, ModelStatsPopulated) {
   EXPECT_GT(S.IlpSize.NumConstraints, 0u);
   EXPECT_GT(S.Build.RawVariables, S.IlpSize.NumVariables);
   EXPECT_GE(S.Solve.TotalSeconds, S.Solve.RootLpSeconds);
+}
+
+TEST(Allocator, ColoringSplitAndRetryRecovers) {
+  // 18 loop-carried values rotate by three places per iteration (one
+  // conditionally redefined): the stays joined across the back edge form
+  // circular arcs, which the spill-free optimum can leave uncolorable
+  // until identity-move joins are split back into copies.
+  const unsigned K = 18, Shift = 3;
+  std::string Src = "fun main(base : word, n : word) {\n";
+  for (unsigned I = 0; I != K; I += 2)
+    Src += formatf("  let (v%u, v%u) = sram(base + %u);\n", I, I + 1, I);
+  Src += "  let i = 0;\n  while (i < n) {\n";
+  for (unsigned E = 0; E != Shift; ++E)
+    Src += formatf("    let t%u = v%u;\n", E, E);
+  for (unsigned J = 0; J != K - Shift; ++J)
+    Src += formatf("    v%u = v%u + %u;\n", J, J + Shift, J + 1);
+  for (unsigned E = 0; E != Shift; ++E)
+    Src += formatf("    v%u = t%u + v%u;\n", K - Shift + E, E, E);
+  Src += "    if (v0 > v1) { v0 = v2 + 1; };\n    i = i + 1;\n  }\n  v0";
+  for (unsigned J = 1; J != K; ++J)
+    Src += formatf(" ^ v%u", J);
+  Src += "\n}\n";
+
+  cps::EvalMemory Mem;
+  for (uint32_t I = 0; I != K; ++I)
+    Mem.Sram[I] = 0x9e3779b9u * (I + 1);
+  auto R = compileAndCheck(Src, {0, 3}, Mem);
+  ASSERT_TRUE(R->Ok);
+  EXPECT_EQ(R->Alloc.Stats.Rung, AllocRung::Optimal);
+  EXPECT_GT(R->Alloc.Stats.ColoringRetries, 0u);
 }
 
 //===----------------------------------------------------------------------===//

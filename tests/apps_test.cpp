@@ -19,6 +19,7 @@
 #include "ref/Checksum.h"
 #include "ref/Kasumi.h"
 #include "sim/Simulator.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -321,6 +322,35 @@ TEST(AppNat, ErrorPathsRaise) {
     auto [Halt, Out] = runApp(App, {0x100, 0x800}, Mem);
     EXPECT_EQ(Halt, 0xFFFFFFFEu);
   }
+}
+
+TEST(AppNat, AllocatorPhasesTileTheWall) {
+  driver::CompileOptions Opts;
+  Opts.Allocate = false;
+  auto Front = driver::compileNova(apps::natNovaSource(), "nat.nova", Opts);
+  ASSERT_TRUE(Front->Ok) << Front->ErrorText;
+  Timer Wall;
+  alloc::AllocationResult A =
+      alloc::allocate(Front->Machine, *Front->Diags, Opts.Alloc);
+  double Seconds = Wall.seconds();
+  ASSERT_TRUE(A.Ok) << A.Error.render();
+
+  const alloc::AllocPhases &P = A.Stats.Phases;
+  for (double S : {P.AnalysisSeconds, P.ModelSeconds, P.SolveSeconds,
+                   P.ExtractSeconds, P.ColoringSeconds, P.VerifySeconds,
+                   P.BaselineSeconds, A.Stats.Solve.FactorizeSeconds})
+    EXPECT_GE(S, 0.0);
+  EXPECT_GT(P.ModelSeconds, 0.0);
+  EXPECT_GT(P.SolveSeconds, 0.0);
+  EXPECT_GT(P.ExtractSeconds, 0.0);
+  // The nested figures sit inside their phases.
+  EXPECT_LE(P.ColoringSeconds, P.ExtractSeconds);
+  EXPECT_LE(A.Stats.Solve.FactorizeSeconds, P.SolveSeconds);
+  double Sum = P.AnalysisSeconds + P.ModelSeconds + P.SolveSeconds +
+               P.ExtractSeconds + P.VerifySeconds + P.BaselineSeconds;
+  EXPECT_NEAR(Sum, Seconds, 0.05 * Seconds);
+  EXPECT_LE(P.WallSeconds, Seconds);
+  EXPECT_NEAR(Sum, P.WallSeconds, 0.05 * P.WallSeconds);
 }
 
 //===----------------------------------------------------------------------===//
